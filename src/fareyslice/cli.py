@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
 from . import benchmark, conjecture, frf, oracle, pleating, serialize
 from .errors import FareySliceError, SingularParameter
-from .rings import GeneratorParams
+from .rings import GeneratorParams, Ring
 from .recursion import farey_polynomial, get_engine, homogeneous_farey_polynomial
 from .slopes import CFExpansion, Slope, enumerate_farey
 from .words import farey_word
@@ -36,14 +35,16 @@ def _add_ring_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", default="inf", help="cone order of the second generator")
 
 
-def _parse_order(text: str) -> float:
-    return math.inf if text in ("inf", "oo") else int(text)
+def _resolve_ring(args) -> Ring:
+    spec = f"numeric({args.a},{args.b})" if args.ring == "numeric" else args.ring
+    return Ring.parse(spec)
 
 
-def _resolve_ring(args):
-    if args.ring == "numeric":
-        return GeneratorParams(_parse_order(args.a), _parse_order(args.b))
-    return args.ring
+def _root_params(args) -> Optional[GeneratorParams]:
+    ring = _resolve_ring(args)
+    if ring.name == "generic":
+        raise _UsageError("root extraction needs a numeric specialisation")
+    return ring.params
 
 
 def _parse_cf(args) -> CFExpansion:
@@ -134,8 +135,7 @@ def _cmd_poly(args) -> int:
     s = Slope.parse(args.slope)
     ring = _resolve_ring(args)
     poly = farey_polynomial(s, ring)
-    label = ring if isinstance(ring, str) else f"numeric({ring.label()})"
-    _emit(serialize.dumps_canonical(serialize.polynomial_payload(s, label, poly)),
+    _emit(serialize.dumps_canonical(serialize.polynomial_payload(s, ring.label, poly)),
           args.out)
     return 0
 
@@ -195,18 +195,11 @@ def _root_sets_output(root_sets, args) -> int:
 
 
 def _cmd_slice(args) -> int:
-    ring = _resolve_ring(args)
-    params = ring if isinstance(ring, GeneratorParams) else None
-    if ring == "generic":
-        raise _UsageError("root extraction needs a numeric specialisation")
-    return _root_sets_output(pleating.slice_cloud(args.qmax, params), args)
+    return _root_sets_output(pleating.slice_cloud(args.qmax, _root_params(args)), args)
 
 
 def _cmd_cusp_path(args) -> int:
-    ring = _resolve_ring(args)
-    params = ring if isinstance(ring, GeneratorParams) else None
-    if ring == "generic":
-        raise _UsageError("root extraction needs a numeric specialisation")
+    params = _root_params(args)
     cf = _parse_cf(args)
     sets = pleating.irrational_cusp_path(cf, args.depth, params)
     return _root_sets_output(sets, args)

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NotASquare
-from .recursion import reduced_farey_polynomial
+from .recursion import cubic_step, reduced_farey_polynomial
 from .rings import Poly, is_perfect_square, poly_sqrt_exact
-from .slopes import Slope, enumerate_farey, ominus, parents
+from .slopes import INFINITY, Slope, enumerate_farey, ominus, parents
 
 __all__ = [
     "SquareDecomposition",
@@ -37,8 +37,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_INF = Slope(1, 0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ def decompose_square(s: Slope) -> Optional[SquareDecomposition]:
     the factor.  Returns None (and logs) if the square root fails, which
     would be a genuine counterexample.
     """
-    if s == _INF:
+    if s == INFINITY:
         return SquareDecomposition(1, 0, Poly())
     reduced = reduced_farey_polynomial(s)
     m = reduced.multiplicity_at_zero()
@@ -75,12 +73,22 @@ def decompose_square(s: Slope) -> Optional[SquareDecomposition]:
     return SquareDecomposition(sign, k, root)
 
 
+def _memo_decomposition(v: Slope, memo: dict) -> SquareDecomposition:
+    """decompose_square through ``memo``, raising where it fails."""
+    if v not in memo:
+        d = decompose_square(v)
+        if d is None:
+            raise NotASquare(f"decomposition failed at {v}")
+        memo[v] = d
+    return memo[v]
+
+
 def _fibonacci_reduced_values(count: int, z: int) -> list[int]:
     # Trace values along the Fibonacci geodesic by the integer cubic
     # recursion; element i is the value at slope fib(i)/fib(i+1).
     x = [2 - z, 2 + z, 2 + z * z]
     while len(x) < count:
-        x.append(8 - x[-3] - x[-2] * x[-1])
+        x.append(cubic_step(*x[-3:]))
     return [v - 2 for v in x[:count]]
 
 
@@ -113,18 +121,9 @@ def classify_triangle(s: Slope, cache: Optional[dict] = None) -> str:
     corrected relation itself fails and is logged as a finding.
     """
     decomps = cache if cache is not None else {}
-
-    def factor_of(v: Slope) -> SquareDecomposition:
-        if v not in decomps:
-            d = decompose_square(v)
-            if d is None:
-                raise NotASquare(f"decomposition failed at {v}")
-            decomps[v] = d
-        return decomps[v]
-
     a, b = parents(s)
     d = ominus(a, b)
-    fa, fb, fd, fs = (factor_of(v) for v in (a, b, d, s))
+    fa, fb, fd, fs = (_memo_decomposition(v, decomps) for v in (a, b, d, s))
     base = fa.factor * fb.factor
     if fa.k == 1 and fb.k == 1:
         base = base.shift(1)
@@ -190,18 +189,9 @@ def epsilon_k_check(q_max: int) -> SignParityReport:
         raise ValueError("q_max must be >= 2")
     report = SignParityReport(q_max=q_max)
     data: dict[Slope, SquareDecomposition] = {}
-
-    def get(v: Slope) -> SquareDecomposition:
-        if v not in data:
-            d = decompose_square(v)
-            if d is None:
-                raise NotASquare(f"decomposition failed at {v}")
-            data[v] = d
-        return data[v]
-
     seeds = {Slope(0, 1): (-1, 1), Slope(1, 1): (1, 1), Slope(1, 2): (1, 0)}
     for v, (sign, k) in seeds.items():
-        d = get(v)
+        d = _memo_decomposition(v, data)
         if d.sign != sign:
             report.seed_signs_match = False
         if d.k != k:
@@ -211,7 +201,7 @@ def epsilon_k_check(q_max: int) -> SignParityReport:
         if s.q < 2:
             continue
         a, b = parents(s)
-        ds, da, db = get(s), get(a), get(b)
+        ds, da, db = (_memo_decomposition(v, data) for v in (s, a, b))
         if ds.sign != da.sign * db.sign:
             report.raw_sign_multiplicative = False
             report.raw_sign_violations.append(s)

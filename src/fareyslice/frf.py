@@ -19,10 +19,10 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import DegenerateEigenvalues, SingularParameter, ZeroDivisor
-from .recursion import homogeneous_farey_polynomial
+from .errors import DegenerateEigenvalues, SingularParameter
+from .recursion import descend, homogeneous_farey_polynomial
 from .rings import Poly, exact_div
-from .slopes import Slope, boundary_sequence, ominus, parents
+from .slopes import INFINITY, ONE, ZERO, Slope, boundary_sequence, ominus, parents
 
 __all__ = [
     "FRFSpec",
@@ -57,7 +57,7 @@ class FRFSpec:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        needed = {Slope(0, 1), Slope(1, 1), Slope(1, 0)}
+        needed = {ZERO, ONE, INFINITY}
         if not needed <= set(self.seeds):
             raise ValueError("seeds must cover 0/1, 1/1 and 1/0")
         self._cache.update(self.seeds)
@@ -67,37 +67,17 @@ class FRFSpec:
         return self.d2 is None
 
 
-def _parent_roles(s: Slope) -> tuple[Slope, Slope, Slope]:
-    """(alpha, beta, difference) with beta the larger-denominator parent."""
-    a, b = parents(s)
-    d = ominus(a, b)
-    if (a.q, a.p) > (b.q, b.p):
-        a, b = b, a
-    return a, b, d
-
-
 def frf_eval(spec: FRFSpec, s: Slope):
     """Value of the recursive function at a slope, by memoized descent."""
     cache = spec._cache
-    if s in cache:
-        return cache[s]
-    stack = [s]
-    while stack:
-        t = stack[-1]
-        if t in cache:
-            stack.pop()
-            continue
-        alpha, beta, diff = _parent_roles(t)
-        missing = [u for u in (alpha, beta, diff) if u not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
+
+    def step(t: Slope, a: Slope, b: Slope, diff: Slope):
+        # alpha is the parent with the smaller denominator.
+        alpha, beta = (a, b) if (a.q, a.p) < (b.q, b.p) else (b, a)
         d2val = -cache[alpha] if spec.d2 is None else spec.d2(alpha)
-        cache[t] = (
-            -(spec.d1(alpha) * cache[diff]) + d2val * cache[beta] + spec.d3(alpha)
-        )
-    return cache[s]
+        return -(spec.d1(alpha) * cache[diff]) + d2val * cache[beta] + spec.d3(alpha)
+
+    return descend(cache, s, step)
 
 
 def _apply(m, v):
@@ -135,10 +115,7 @@ def boundary_matrix_power(spec: FRFSpec, alpha: Slope, n: int):
     inv = ((-f_alpha, -_one_like(f_alpha)), (det, _zero_like(f_alpha)))
     for _ in range(-n):
         w = _apply(inv, v)
-        try:
-            v = (exact_div(w[0], det), exact_div(w[1], det))
-        except ZeroDivisor:
-            raise
+        v = (exact_div(w[0], det), exact_div(w[1], det))
     return v
 
 
@@ -156,17 +133,24 @@ def homogeneous_spec() -> FRFSpec:
         d1=lambda _: 1,
         d2=None,
         d3=lambda _: Poly(),
-        seeds={
-            Slope(0, 1): Poly([2, -1]),
-            Slope(1, 0): Poly([2]),
-            Slope(1, 1): Poly([2, 1]),
-        },
+        seeds={s: homogeneous_farey_polynomial(s) for s in (ZERO, ONE, INFINITY)},
     )
 
 
 def _check_not_singular(z: complex) -> None:
     if abs(z) < _SINGULAR_TOL or abs(z - 4) < _SINGULAR_TOL:
         raise SingularParameter(f"z = {z} degenerates the closed form")
+
+
+def _diagonalised(x, r: complex, n: int, f0, f1) -> complex:
+    """f(n) for f(k+1) = x f(k) - f(k-1) with f(0) = f0, f(1) = f1.
+
+    The diagonalisation: with r = sqrt(x^2 - 4), of either branch and
+    non-zero, the eigenvalues are (x +- r)/2.
+    """
+    a = (f0 * (x + r) - 2 * f1) * (x - r) ** n
+    b = (f0 * (r - x) + 2 * f1) * (x + r) ** n
+    return (a + b) / (2.0 ** (1 + n) * r)
 
 
 @dataclass(frozen=True)
@@ -205,10 +189,8 @@ class LeftFanClosedForm:
         return self.lam_plus * self.lam_minus
 
     def value(self, q: int) -> complex:
-        z, rad = self.z, self.radical
-        a = (self.lam * (z - 2 + rad) - 2 * self.mu) * (z - 2 - rad) ** q
-        b = (self.lam * (2 - z + rad) + 2 * self.mu) * (z - 2 + rad) ** q
-        return 8 / (4 - z) + (a + b) / (2.0 ** (1 + q) * rad)
+        z = self.z
+        return 8 / (4 - z) + _diagonalised(z - 2, self.radical, q, self.lam, self.mu)
 
 
 def closed_form_left(z: complex, q: int) -> complex:
@@ -232,10 +214,7 @@ def closed_form_homog_left(z: complex, q: int, a0: complex, a1: complex) -> comp
     its diagonalisation and fails at z in {0, 4}.
     """
     _check_not_singular(z)
-    rad = cmath.sqrt(z * z - 4 * z)
-    a = (a0 * (z - 2 + rad) - 2 * a1) * (z - 2 - rad) ** q
-    b = (a0 * (2 - z + rad) + 2 * a1) * (z - 2 + rad) ** q
-    return (a + b) / (2.0 ** (1 + q) * rad)
+    return _diagonalised(z - 2, cmath.sqrt(z * z - 4 * z), q, a0, a1)
 
 
 def left_sequence(z, q: int, a0=2, a1=None, constant=8):
@@ -273,9 +252,7 @@ def closed_form_triangle(beta0: Slope, beta1: Slope, n: int, z: complex) -> comp
     kappa = cmath.sqrt(complex(x * x - 4))
     f0 = complex(homogeneous_farey_polynomial(beta0).evaluate(z))
     f1 = complex(homogeneous_farey_polynomial(beta1).evaluate(z))
-    a = (f0 * (x + kappa) - 2 * f1) * (x - kappa) ** n
-    b = (f0 * (kappa - x) + 2 * f1) * (x + kappa) ** n
-    return (a + b) / (2.0 ** (1 + n) * kappa)
+    return _diagonalised(x, kappa, n, f0, f1)
 
 
 def chebyshev_T(n: int) -> Poly:

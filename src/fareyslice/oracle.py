@@ -12,10 +12,10 @@ integers ("parabolic"), or complex doubles (numeric cone parameters).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import FormalVertex, NotNeighbours
-from .rings import GeneratorParams, Laurent2, Poly
+from .rings import Laurent2, Poly, Ring, RingSpec
 from .slopes import Slope, is_neighbor
 from .words import Letter, Word, farey_word
 
@@ -30,9 +30,6 @@ __all__ = [
     "product_constant",
     "quotient_constant",
 ]
-
-Ring = Union[str, GeneratorParams]
-
 
 class Mat2(NamedTuple):
     """Row-major 2x2 matrix with polynomial entries."""
@@ -61,30 +58,26 @@ class Mat2(NamedTuple):
         return self.a * self.d - self.b * self.c
 
 
-def _scalars(ring: Ring):
-    # (alpha, alpha^-1, beta, beta^-1, one) in the coefficient ring.
-    if ring == "generic":
-        return (
-            Laurent2.term(1, 1, 0),
-            Laurent2.term(1, -1, 0),
-            Laurent2.term(1, 0, 1),
-            Laurent2.term(1, 0, -1),
-            Laurent2.const(1),
-        )
-    if ring == "parabolic":
-        return 1, 1, 1, 1, 1
-    if isinstance(ring, GeneratorParams):
-        al, be = ring.alpha, ring.beta
-        return al, 1 / al, be, 1 / be, complex(1)
-    raise ValueError(f"unknown ring {ring!r}")
+# alpha, alpha^-1, beta, beta^-1 and one as generic coefficients.
+_GENERATOR_SCALARS = (
+    Laurent2.term(1, 1, 0),
+    Laurent2.term(1, -1, 0),
+    Laurent2.term(1, 0, 1),
+    Laurent2.term(1, 0, -1),
+    Laurent2.const(1),
+)
 
 
-def identity_matrix(ring: Ring = "generic") -> Mat2:
+def _scalars(ring: RingSpec):
+    return tuple(map(Ring.parse(ring).coeff, _GENERATOR_SCALARS))
+
+
+def identity_matrix(ring: RingSpec = "generic") -> Mat2:
     one = _scalars(ring)[-1]
     return Mat2(Poly([one]), Poly(), Poly(), Poly([one]))
 
 
-def gen_matrix(letter: Letter, ring: Ring = "generic") -> Mat2:
+def gen_matrix(letter: Letter, ring: RingSpec = "generic") -> Mat2:
     """The matrix of one generator letter, exact in the chosen ring."""
     al, ali, be, bei, one = _scalars(ring)
     if letter.generator == "X":
@@ -96,7 +89,7 @@ def gen_matrix(letter: Letter, ring: Ring = "generic") -> Mat2:
     return Mat2(Poly([bei]), Poly(), Poly([0, -one]), Poly([be]))
 
 
-def word_matrix(w: Word, ring: Ring = "generic") -> Mat2:
+def word_matrix(w: Word, ring: RingSpec = "generic") -> Mat2:
     """Left-to-right product of the letter matrices."""
     m = identity_matrix(ring)
     for letter in w.letters:
@@ -104,20 +97,20 @@ def word_matrix(w: Word, ring: Ring = "generic") -> Mat2:
     return m
 
 
-def farey_polynomial(s: Slope, ring: Ring = "generic") -> Poly:
+def farey_polynomial(s: Slope, ring: RingSpec = "generic") -> Poly:
     """Trace of the Farey word matrix; degree equals the denominator."""
     if s.is_infinite:
         raise FormalVertex("1/0 has no word; its trace value is axiomatic")
     return word_matrix(farey_word(s), ring).trace
 
 
-def trace_product(a: Slope, b: Slope, ring: Ring = "generic") -> Poly:
+def trace_product(a: Slope, b: Slope, ring: RingSpec = "generic") -> Poly:
     """Trace of the product word of a neighbour pair a < b."""
     _check_pair(a, b)
     return word_matrix(farey_word(a) * farey_word(b), ring).trace
 
 
-def trace_quotient(a: Slope, b: Slope, ring: Ring = "generic") -> Poly:
+def trace_quotient(a: Slope, b: Slope, ring: RingSpec = "generic") -> Poly:
     """Trace of W(a) * W(b)^-1 for a neighbour pair a < b."""
     _check_pair(a, b)
     return word_matrix(farey_word(a) * farey_word(b).inverse(), ring).trace
@@ -132,14 +125,8 @@ def _check_pair(a: Slope, b: Slope) -> None:
         raise FormalVertex("1/0 has no Farey word")
 
 
-def _const(ring: Ring, generic: Laurent2, value: int = None) -> Poly:
-    if ring == "generic":
-        return Poly([generic])
-    if ring == "parabolic":
-        return Poly([generic.at_one()])
-    if isinstance(ring, GeneratorParams):
-        return Poly([generic.evaluate(ring.alpha, ring.beta)])
-    raise ValueError(f"unknown ring {ring!r}")
+def _const(ring: RingSpec, generic: Laurent2) -> Poly:
+    return Poly([Ring.parse(ring).coeff(generic)])
 
 
 _EVEN_SUM = Laurent2({(0, 0): 4, (2, 0): 1, (-2, 0): 1, (0, 2): 1, (0, -2): 1})
@@ -149,18 +136,18 @@ _QUOT_EVEN = Laurent2({(0, 0): 2, (0, 2): 1, (0, -2): 1})
 _MIXED_ODD = Laurent2({(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1})
 
 
-def recursion_constant(parity_even: bool, ring: Ring = "generic") -> Poly:
+def recursion_constant(parity_even: bool, ring: RingSpec = "generic") -> Poly:
     """Triangle-sum constant: the even case uses squared single-parameter
     terms, the odd case twice the mixed terms; both collapse to 8
     parabolically."""
     return _const(ring, _EVEN_SUM if parity_even else _ODD_SUM)
 
 
-def product_constant(parity_even: bool, ring: Ring = "generic") -> Poly:
+def product_constant(parity_even: bool, ring: RingSpec = "generic") -> Poly:
     """Constant for trace(W_a W_b) + trace of the mediant word."""
     return _const(ring, _PROD_EVEN if parity_even else _MIXED_ODD)
 
 
-def quotient_constant(parity_even: bool, ring: Ring = "generic") -> Poly:
+def quotient_constant(parity_even: bool, ring: RingSpec = "generic") -> Poly:
     """Constant for trace(W_a W_b^-1) + trace of the difference word."""
     return _const(ring, _QUOT_EVEN if parity_even else _MIXED_ODD)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegreeOverflow, FormalVertex
 from .recursion import get_engine
-from .rings import DOUBLE_EXACT_BOUND, GeneratorParams, Poly
+from .rings import GeneratorParams, Laurent2, Poly, Ring, to_complex_coeffs
 from .slopes import CFExpansion, Slope, _mediant_walk, enumerate_farey
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "dynsys_check",
     "DynSysReport",
 ]
-
-Ring = Union[str, GeneratorParams]
 
 DEGREE_GUARD = 60
 
@@ -312,19 +310,12 @@ def roots(p: Poly, slope: Optional[Slope] = None, ring: str = "parabolic") -> Ro
     Integer-coefficient input keeps its exact coefficients alongside the
     double conversion so the final Newton polish can evaluate exactly.
     """
-    exact = [c for c in p.coeffs] if all(isinstance(c, int) for c in p.coeffs) else None
-    coeffs = []
-    lossy = False
-    for c in p.coeffs:
-        if isinstance(c, int) and abs(c) > DOUBLE_EXACT_BOUND:
-            lossy = True
-        coeffs.append(complex(c))
-    if lossy and exact is None:
-        warnings.warn(
-            "coefficients exceed 2**53; root accuracy is limited by the "
-            "double conversion",
-            stacklevel=2,
-        )
+    if all(isinstance(c, int) for c in p.coeffs):
+        exact = list(p.coeffs)
+        coeffs = [complex(c) for c in exact]
+    else:
+        exact = None
+        coeffs = to_complex_coeffs(p)
     rs, res, ok = all_roots(coeffs, exact_coeffs=exact)
     return RootSet(slope=slope, ring=ring, roots=rs, residuals=res, converged=ok)
 
@@ -332,10 +323,9 @@ def roots(p: Poly, slope: Optional[Slope] = None, ring: str = "parabolic") -> Ro
 def _shifted_polynomial(s: Slope, params: Optional[GeneratorParams]) -> tuple[Poly, str]:
     if s.is_infinite:
         raise FormalVertex("1/0 has no root locus")
-    if params is None or params.is_parabolic:
-        return get_engine("parabolic").polynomial(s) + Poly([2]), "parabolic"
-    poly = get_engine(params).polynomial(s)
-    return poly + Poly([complex(2)]), f"numeric({params.label()})"
+    ring = Ring.parse("parabolic" if params is None or params.is_parabolic else params)
+    two = Poly([ring.coeff(Laurent2.const(2))])
+    return get_engine(ring).polynomial(s) + two, ring.label
 
 
 def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootSet:

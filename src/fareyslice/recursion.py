@@ -10,6 +10,12 @@ where C is the even/odd recursion constant of the ring (both equal 8 in
 the parabolic case).  Values are exact in the parabolic and generic
 rings and complex doubles in the numeric ring.
 
+One kernel, ``descend``, walks the graph for every recursion in the
+package: it fills a slope-keyed cache from its seeds down to the target,
+calling a ``step`` once per new slope.  The ring engines, the
+homogeneous family (the parabolic recursion with C = 0) and
+``frf.frf_eval`` differ only in their seeds and step.
+
 Cache discipline: one engine per ring, entries immutable once inserted.
 Population is single-writer; concurrent readers only ever observe
 completed entries.
@@ -17,11 +23,14 @@ completed entries.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable
 
 from . import oracle
-from .rings import GeneratorParams, Laurent2, Poly
+from .rings import Laurent2, Poly, Ring, RingSpec
 from .slopes import (
+    INFINITY,
+    ONE,
+    ZERO,
     CFExpansion,
     Slope,
     ominus,
@@ -41,121 +50,79 @@ __all__ = [
     "get_engine",
 ]
 
-Ring = Union[str, GeneratorParams]
+# Values at 0/1, 1/1 and 1/0 with generic coefficients; every ring starts
+# from their specialisation.
+_GENERIC_SEEDS = {
+    ZERO: Poly([Laurent2({(1, -1): 1, (-1, 1): 1}), Laurent2.const(-1)]),
+    ONE: Poly([Laurent2({(1, 1): 1, (-1, -1): 1}), Laurent2.const(1)]),
+    INFINITY: Poly([Laurent2.const(2)]),
+}
 
-_ZERO = Slope(0, 1)
-_ONE = Slope(1, 1)
-_INF = Slope(1, 0)
+
+def _seeds(ring: Ring) -> dict[Slope, Poly]:
+    return {s: Poly([ring.coeff(c) for c in p.coeffs]) for s, p in _GENERIC_SEEDS.items()}
 
 
-def _seed_polynomials(ring: Ring) -> dict[Slope, Poly]:
-    if ring == "generic":
-        return {
-            _ZERO: Poly([Laurent2({(1, -1): 1, (-1, 1): 1}), Laurent2.const(-1)]),
-            _ONE: Poly([Laurent2({(1, 1): 1, (-1, -1): 1}), Laurent2.const(1)]),
-            _INF: Poly([Laurent2.const(2)]),
-        }
-    if ring == "parabolic":
-        return {
-            _ZERO: Poly([2, -1]),
-            _ONE: Poly([2, 1]),
-            _INF: Poly([2]),
-        }
-    if isinstance(ring, GeneratorParams):
-        al, be = ring.alpha, ring.beta
-        return {
-            _ZERO: Poly([al / be + be / al, complex(-1)]),
-            _ONE: Poly([al * be + 1 / (al * be), complex(1)]),
-            _INF: Poly([complex(2)]),
-        }
-    raise ValueError(f"unknown ring {ring!r}")
+def descend(cache: dict, s: Slope, step: Callable) -> object:
+    """The value at ``s``, filling ``cache`` down the Farey graph.
+
+    ``step(t, a, b, d)`` returns the value at a new slope t from its
+    parents a, b and the difference vertex d = a (-) b, all of them
+    already in ``cache``; it runs once per slope added.  Package-internal,
+    so not exported.
+    """
+    if s in cache:
+        return cache[s]
+    # Iterative worklist: long left fans would overflow Python's
+    # recursion limit well below the depths the benchmark uses.
+    stack = [s]
+    while stack:
+        t = stack[-1]
+        if t in cache:
+            stack.pop()
+            continue
+        a, b = parents(t)
+        d = ominus(a, b)
+        missing = [u for u in (a, b, d) if u not in cache]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        cache[t] = step(t, a, b, d)
+    return cache[s]
 
 
 class FareyPolynomialEngine:
     """Memoized recursion for one coefficient ring."""
 
-    def __init__(self, ring: Ring = "parabolic"):
+    def __init__(self, ring: RingSpec = "parabolic"):
         self.ring = ring
-        self._cache: dict[Slope, Poly] = _seed_polynomials(ring)
-        self._c_even = oracle.recursion_constant(True, ring)
-        self._c_odd = oracle.recursion_constant(False, ring)
+        self._cache: dict[Slope, Poly] = _seeds(Ring.parse(ring))
+        self._constants = recursion_constants(ring)
 
     def polynomial(self, s: Slope) -> Poly:
+        return descend(self._cache, s, self._step)
+
+    def _step(self, t: Slope, a: Slope, b: Slope, d: Slope) -> Poly:
         cache = self._cache
-        if s in cache:
-            return cache[s]
-        # Iterative worklist: long left fans would overflow Python's
-        # recursion limit well below the depths the benchmark uses.
-        stack = [s]
-        while stack:
-            t = stack[-1]
-            if t in cache:
-                stack.pop()
-                continue
-            a, b = parents(t)
-            d = ominus(a, b)
-            missing = [u for u in (a, b, d) if u not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            c = self._c_even if t.q % 2 == 0 else self._c_odd
-            cache[t] = c - cache[a] * cache[b] - cache[d]
-        return cache[s]
+        return self._constants[t.q % 2] - cache[a] * cache[b] - cache[d]
 
     def cached_slopes(self) -> list[Slope]:
         return list(self._cache)
 
 
-class HomogeneousEngine:
-    """The parabolic recursion with its constant term removed.
-
-    Seeds are 2 - z, 2, 2 + z at 0/1, 1/0, 1/1; each triangle step is
-    value(mediant) = -value(a)*value(b) - value(d).
-    """
-
-    def __init__(self) -> None:
-        self._cache: dict[Slope, Poly] = {
-            _ZERO: Poly([2, -1]),
-            _INF: Poly([2]),
-            _ONE: Poly([2, 1]),
-        }
-
-    def polynomial(self, s: Slope) -> Poly:
-        cache = self._cache
-        if s in cache:
-            return cache[s]
-        stack = [s]
-        while stack:
-            t = stack[-1]
-            if t in cache:
-                stack.pop()
-                continue
-            a, b = parents(t)
-            d = ominus(a, b)
-            missing = [u for u in (a, b, d) if u not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            cache[t] = -(cache[a] * cache[b]) - cache[d]
-        return cache[s]
-
-
 _ENGINES: dict = {}
-_HOMOGENEOUS = HomogeneousEngine()
+_HOMOGENEOUS: dict[Slope, Poly] = _seeds(Ring.parse("parabolic"))
 
 
-def get_engine(ring: Ring = "parabolic") -> FareyPolynomialEngine:
-    key = ring if isinstance(ring, (str, GeneratorParams)) else None
-    if key is None:
-        raise ValueError(f"unknown ring {ring!r}")
+def get_engine(ring: RingSpec = "parabolic") -> FareyPolynomialEngine:
+    key = Ring.parse(ring)
     if key not in _ENGINES:
         _ENGINES[key] = FareyPolynomialEngine(ring)
     return _ENGINES[key]
 
 
-def farey_polynomial(s: Slope, ring: Ring = "parabolic") -> Poly:
+def farey_polynomial(s: Slope, ring: RingSpec = "parabolic") -> Poly:
     """The trace polynomial of the slope, via the triangle recursion."""
     return get_engine(ring).polynomial(s)
 
@@ -166,11 +133,16 @@ def reduced_farey_polynomial(s: Slope) -> Poly:
 
 
 def homogeneous_farey_polynomial(s: Slope) -> Poly:
-    """Solution of the constant-free triangle recursion at the slope."""
-    return _HOMOGENEOUS.polynomial(s)
+    """Solution of the constant-free triangle recursion at the slope.
+
+    Seeds are 2 - z, 2, 2 + z at 0/1, 1/0, 1/1; each triangle step is
+    value(mediant) = -value(a)*value(b) - value(d).
+    """
+    cache = _HOMOGENEOUS
+    return descend(cache, s, lambda t, a, b, d: -(cache[a] * cache[b]) - cache[d])
 
 
-def fan_walk(cf: CFExpansion, n: int, ring: Ring = "parabolic") -> list[tuple[Slope, Poly]]:
+def fan_walk(cf: CFExpansion, n: int, ring: RingSpec = "parabolic") -> list[tuple[Slope, Poly]]:
     """Polynomials along the unit-mediant walk of a continued fraction.
 
     The walk advances one Farey triangle at a time, so the engine performs
@@ -198,7 +170,7 @@ def _like_const(n, *xs):
     return n
 
 
-def recursion_constants(ring: Ring = "parabolic") -> tuple[Poly, Poly]:
+def recursion_constants(ring: RingSpec = "parabolic") -> tuple[Poly, Poly]:
     """(even, odd) triangle-sum constants of the ring, as polynomials."""
     return (
         oracle.recursion_constant(True, ring),

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .errors import ZeroDivisor
 
@@ -27,6 +28,7 @@ __all__ = [
     "Laurent2",
     "Poly",
     "GeneratorParams",
+    "Ring",
     "specialize_parabolic",
     "specialize_numeric",
     "eval_complex",
@@ -333,17 +335,60 @@ class GeneratorParams:
         return f"{fa},{fb}"
 
 
+@dataclass(frozen=True)
+class Ring:
+    """The coefficient ring of a computation: generic, parabolic or numeric.
+
+    This is the one place that parses a ring spec and the one map from
+    generic ``Laurent2`` coefficients into the ring's scalars.  Equal specs
+    give equal (hashable) values; the parabolic ring (int coefficients) and
+    numeric ``GeneratorParams(inf, inf)`` (complex coefficients) differ.
+    """
+
+    name: str
+    params: Optional[GeneratorParams] = None
+
+    @classmethod
+    def parse(cls, spec: "RingSpec") -> "Ring":
+        """A Ring from "generic", "parabolic", GeneratorParams or a label."""
+        if isinstance(spec, Ring):
+            return spec
+        if isinstance(spec, GeneratorParams):
+            return cls("numeric", spec)
+        if spec in ("generic", "parabolic"):
+            return cls(spec)
+        m = isinstance(spec, str) and re.fullmatch(r"numeric\((inf|oo|\d+),(inf|oo|\d+)\)", spec)
+        if m:
+            a, b = (math.inf if t in ("inf", "oo") else int(t) for t in m.groups())
+            return cls("numeric", GeneratorParams(a, b))
+        raise ValueError(f"unknown ring {spec!r}")
+
+    def coeff(self, x: Laurent2):
+        """The value of a generic coefficient in this ring."""
+        if self.params is not None:
+            return x.evaluate(self.params.alpha, self.params.beta)
+        return x if self.name == "generic" else x.at_one()
+
+    @property
+    def label(self) -> str:
+        """The output label "generic", "parabolic" or "numeric(a,b)"."""
+        return self.name if self.params is None else f"numeric({self.params.label()})"
+
+
+# Anything Ring.parse accepts.
+RingSpec = Union[str, GeneratorParams, Ring]
+
+
 def specialize_parabolic(p: Poly) -> Poly:
     """Set both generator parameters to 1 in a Laurent-coefficient polynomial."""
-    return Poly([c.at_one() if isinstance(c, Laurent2) else c for c in p.coeffs])
+    ring = Ring.parse("parabolic")
+    return Poly([ring.coeff(c) if isinstance(c, Laurent2) else c for c in p.coeffs])
 
 
 def specialize_numeric(p: Poly, params: GeneratorParams) -> Poly:
     """Evaluate Laurent coefficients at the roots of unity given by params."""
-    a, b = params.alpha, params.beta
-    return Poly(
-        [c.evaluate(a, b) if isinstance(c, Laurent2) else complex(c) for c in p.coeffs]
-    )
+    ring = Ring.parse(params)
+    return Poly([ring.coeff(c) if isinstance(c, Laurent2) else complex(c) for c in p.coeffs])
 
 
 def to_complex_coeffs(p: Poly) -> list[complex]:

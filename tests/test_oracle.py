@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from fareyslice import (
@@ -111,3 +114,15 @@ def test_trace_product_rejections():
         oracle.trace_product(S("1/3"), S("3/7"))
     with pytest.raises(NotNeighbours):
         oracle.trace_product(S("2/5"), S("1/3"))
+
+
+def test_oracle_imports_none_of_the_routes_it_checks():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    forbidden = {"recursion", "frf", "pleating", "conjecture"}
+    assert names and not [n for n in names if forbidden & set(n.split("."))]

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from fareyslice import (
@@ -38,8 +40,6 @@ def test_roots_rejects_overflowing_coefficients():
 
 def test_roots_rejects_overflowing_evaluation():
     # finite coefficients whose evaluation overflows doubles mid-iteration
-    import warnings
-
     with pytest.raises(DegreeOverflow):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -140,3 +140,16 @@ def test_dynsys_report():
     assert sum("eigenpair" in n for n in names) == 6
     assert sum("determinant" in n for n in names) == 2
     assert sum("char poly" in n for n in names) == 2
+
+
+def test_roots_warns_on_lossy_inexact_input():
+    with pytest.warns(UserWarning, match=r"2\*\*53"):
+        pleating.roots(Poly([2**60, 1j, 1]))
+
+
+def test_exact_coefficients_past_double_range_do_not_warn():
+    # 1/42 is the first slope with a coefficient past 2**53, below DEGREE_GUARD;
+    # exact integer input is polished exactly, so nothing is lost.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pleating.cusp_candidates(Slope(1, 42))

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from fareyslice import (
     CFExpansion,
     GeneratorParams,
@@ -19,7 +21,10 @@ from fareyslice import (
     reduced_farey_polynomial,
     specialize_numeric,
 )
-from fareyslice import oracle
+from fareyslice import frf, oracle, recursion
+from fareyslice.recursion import FareyPolynomialEngine
+from fareyslice.rings import Ring, poly_mul_count, reset_poly_mul_count
+from fareyslice.slopes import INFINITY, ONE, ZERO
 
 from golden_data import FIBONACCI_POLYS, GENERIC_POLYS, HOMOGENEOUS_POLYS
 
@@ -121,6 +126,10 @@ def test_numeric_engine_matches_specialised_generic():
         GeneratorParams(4, 4),
         GeneratorParams(3, math.inf),
     ):
+        # The seeds are the generic ones specialised, exactly.
+        for s in (ZERO, ONE, INFINITY):
+            expected = specialize_numeric(farey_polynomial(s, "generic"), params)
+            assert farey_polynomial(s, params) == expected
         for s in enumerate_farey(12):
             numeric = farey_polynomial(s, params)
             expected = specialize_numeric(farey_polynomial(s, "generic"), params)
@@ -163,14 +172,29 @@ def test_cubic_step_reproduces_fan_values():
         window = [window[1], window[2], value]
 
 
-def test_fan_walk_multiplication_count():
-    from fareyslice.recursion import FareyPolynomialEngine
-    from fareyslice.rings import poly_mul_count, reset_poly_mul_count
+def _fresh_descent(kind, monkeypatch):
+    """(cache, compute) for one user of the descent kernel, seeds only."""
+    if kind == "homogeneous":
+        cache = recursion._seeds(Ring.parse("parabolic"))
+        monkeypatch.setattr(recursion, "_HOMOGENEOUS", cache)
+        return cache, homogeneous_farey_polynomial
+    if kind == "frf":
+        spec = frf.homogeneous_spec()  # d1 = 1
+        return spec._cache, lambda s: frf.frf_eval(spec, s)
+    engine = FareyPolynomialEngine(kind)
+    return engine._cache, engine.polynomial
 
-    engine = FareyPolynomialEngine("parabolic")
+
+@pytest.mark.parametrize(
+    "kind",
+    ["parabolic", "generic", GeneratorParams(3, 4), "homogeneous", "frf"],
+    ids=["parabolic", "generic", "numeric(3,4)", "homogeneous", "frf"],
+)
+def test_fan_walk_multiplication_count(kind, monkeypatch):
+    cache, compute = _fresh_descent(kind, monkeypatch)
+    before = len(cache)
     reset_poly_mul_count()
-    target = S("13/21")
-    engine.polynomial(target)
+    compute(S("13/21"))
     # One multiplication per uncached slope on the Fibonacci chain.
-    assert poly_mul_count() <= 8
+    assert poly_mul_count() == len(cache) - before == 6
     reset_poly_mul_count()

@@ -16,8 +16,11 @@ from fareyslice import (
     specialize_numeric,
     specialize_parabolic,
 )
+from fareyslice import oracle
 from fareyslice.errors import ZeroDivisor
-from fareyslice.rings import exact_div
+from fareyslice.recursion import get_engine
+from fareyslice.rings import Ring, exact_div
+from fareyslice.words import Letter
 
 
 def test_laurent_basic():
@@ -182,3 +185,34 @@ def test_exact_division():
     assert quotient.coeffs == [1, 1, 1]
     with pytest.raises(ZeroDivisor):
         Poly([1, 0, 1]).divmod_exact(Poly([1, 1]))
+
+
+def test_ring_labels_round_trip():
+    for spec, label in (
+        ("parabolic", "parabolic"),
+        ("generic", "generic"),
+        (GeneratorParams(3, 4), "numeric(3,4)"),
+    ):
+        ring = Ring.parse(spec)
+        assert ring.label == label
+        assert Ring.parse(label) == ring
+        assert get_engine(label) is get_engine(spec)
+    # Same trace values, different coefficient types: two engines.
+    parabolic_cone = GeneratorParams(math.inf, math.inf)
+    assert Ring.parse(parabolic_cone).label == "numeric(inf,inf)"
+    assert get_engine("parabolic") is not get_engine(parabolic_cone)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: get_engine("bogus"),
+        lambda: oracle.gen_matrix(Letter("X", 1), "bogus"),
+        lambda: farey_polynomial(Slope(1, 2), "bogus"),
+    ],
+    ids=["get_engine", "gen_matrix", "farey_polynomial"],
+)
+def test_unknown_ring_raises_from_the_parser(call):
+    with pytest.raises(ValueError, match="unknown ring") as info:
+        call()
+    assert info.traceback[-1].frame.code.raw is Ring.parse.__func__.__code__
