@@ -1,7 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error, 2 computational failure (oracle
-mismatch, non-convergence, or a conjecture violation under --strict).
+Exit codes: 0 success, 1 usage error (arguments that do not parse, or an
+output path that cannot be written), 2 computational failure (oracle
+mismatch, non-convergence, a conjecture violation under --strict, or an
+error raised inside a computation).
 """
 
 from __future__ import annotations
@@ -28,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _parsed(convert, *values):
+    """One command-line value converted; failing to convert is a usage error."""
+    try:
+        return convert(*values)
+    except (ValueError, FareySliceError) as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _add_ring_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ring", choices=["parabolic", "generic", "numeric"],
                    default="parabolic")
@@ -37,7 +47,7 @@ def _add_ring_flags(p: argparse.ArgumentParser) -> None:
 
 def _resolve_ring(args) -> Ring:
     spec = f"numeric({args.a},{args.b})" if args.ring == "numeric" else args.ring
-    return Ring.parse(spec)
+    return _parsed(Ring.parse, spec)
 
 
 def _root_params(args) -> Optional[GeneratorParams]:
@@ -48,8 +58,8 @@ def _root_params(args) -> Optional[GeneratorParams]:
 
 
 def _parse_cf(args) -> CFExpansion:
-    terms = tuple(int(t) for t in args.cf.split(","))
-    return CFExpansion(terms, period=args.periodic)
+    terms = args.cf.split(",")
+    return _parsed(lambda: CFExpansion(tuple(int(t) for t in terms), period=args.periodic))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -121,7 +131,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_word(args) -> int:
-    s = Slope.parse(args.slope)
+    s = _parsed(Slope.parse, args.slope)
     w = farey_word(s)
     if args.format == "json":
         payload = {"slope": str(s), "word": str(w), "length": len(w)}
@@ -132,7 +142,7 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    s = Slope.parse(args.slope)
+    s = _parsed(Slope.parse, args.slope)
     ring = _resolve_ring(args)
     poly = farey_polynomial(s, ring)
     _emit(serialize.dumps_canonical(serialize.polynomial_payload(s, ring.label, poly)),
@@ -141,7 +151,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_homog(args) -> int:
-    s = Slope.parse(args.slope)
+    s = _parsed(Slope.parse, args.slope)
     poly = homogeneous_farey_polynomial(s)
     payload = serialize.polynomial_payload(s, "homogeneous", poly)
     _emit(serialize.dumps_canonical(payload), args.out)
@@ -149,7 +159,7 @@ def _cmd_homog(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
-    z = complex(args.z)
+    z = _parsed(complex, args.z)
     try:
         value = frf.closed_form_left(z, args.q)
         method = "closed"
@@ -271,10 +281,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FareySliceError as exc:
+    except (ValueError, FareySliceError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,15 @@
 """Root loci of trace polynomials: slice clouds and cusp approximations.
 
 All roots of P + 2 are extracted with an Aberth-Ehrlich simultaneous
-iteration over complex doubles.  Reported residuals are backward-error
-scaled, |P(z)| / sum_k |c_k| |z|^k: an absolute residual is meaningless
-for these polynomials, whose terms reach 1e20+ at the outermost roots
-while cancelling to machine precision.
+iteration over complex doubles (Aberth 1973, Ehrlich 1967).  For trace
+polynomials the iteration evaluates P + 2 and P' by the triangle
+recursion on arrays of points, which keeps roots accurate to double
+resolution where Horner's rule on the expanded coefficients is
+noise-bound; the coefficients only place the initial guesses, bound the
+iteration and score it.  Reported residuals are backward-error scaled,
+|P(z)| / sum_k |c_k| |z|^k: an absolute residual is meaningless for these
+polynomials, whose terms reach 1e20+ at the outermost roots while
+cancelling to machine precision.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,7 +67,7 @@ def _symmetrize_conjugates(z: np.ndarray, tol: float) -> np.ndarray:
     matched with their closest conjugate partner and averaged, which only
     moves each root by about its own error.  ``tol`` must stay below the
     closest genuine root separation or distinct roots would be merged, so
-    exact-polished inputs use a much tighter value than raw double ones.
+    accurately evaluated inputs use a much tighter value than noisy ones.
     """
     out = list(z)
     used = [False] * len(out)
@@ -98,61 +103,6 @@ def _scaled_residuals(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.abs(vals) / scale
 
 
-_FIXED_BITS = 128
-
-
-def _to_fixed(x: float, fbits: int = _FIXED_BITS) -> int:
-    m, e = math.frexp(x)
-    mantissa = int(m * (1 << 53))
-    shift = e - 53 + fbits
-    return mantissa << shift if shift >= 0 else mantissa >> -shift
-
-
-def _eval_dyadic(int_coeffs: list[int], z: complex, fbits: int = _FIXED_BITS) -> complex:
-    # Exact Horner over scaled integers: doubles are dyadic rationals, so
-    # the only rounding is the floor shift per step (~2^-128 relative).
-    x = _to_fixed(z.real, fbits)
-    y = _to_fixed(z.imag, fbits)
-    re = im = 0
-    for c in reversed(int_coeffs):
-        re, im = ((re * x - im * y) >> fbits) + (c << fbits), (re * y + im * x) >> fbits
-    scale = 1 << fbits
-    return complex(re / scale, im / scale)
-
-
-def _polish_exact(int_coeffs: list[int], roots_arr: np.ndarray, max_steps: int = 80) -> np.ndarray:
-    """Simultaneous-iteration steps with exact integer evaluation.
-
-    Double-precision evaluation noise limits forward accuracy to
-    noise/|p'|, which for the largest coefficient scales here can exceed
-    half the root separation; exact evaluation removes that floor, and
-    keeping the ensemble coupling (rather than independent Newton steps)
-    prevents two approximations from collapsing onto one root.
-    """
-    deriv = [k * c for k, c in enumerate(int_coeffs)][1:]
-    z = [complex(v) for v in roots_arr]
-    n = len(z)
-    for _ in range(max_steps):
-        pz = [_eval_dyadic(int_coeffs, v) for v in z]
-        dpz = [_eval_dyadic(deriv, v) for v in z]
-        worst = 0.0
-        for k in range(n):
-            if dpz[k] == 0:
-                continue
-            newton = pz[k] / dpz[k]
-            coupling = 0j
-            for j in range(n):
-                if j != k and z[k] != z[j]:
-                    coupling += 1.0 / (z[k] - z[j])
-            denom = 1.0 - newton * coupling
-            step = newton / denom if denom != 0 else newton
-            z[k] = z[k] - step
-            worst = max(worst, abs(step) / (1.0 + abs(z[k])))
-        if worst < 1e-15:
-            break
-    return np.array(z, dtype=complex)
-
-
 def _initial_guesses(c: np.ndarray) -> np.ndarray:
     """Starting points on annuli from the upper hull of (i, log|c_i|).
 
@@ -185,25 +135,68 @@ def _initial_guesses(c: np.ndarray) -> np.ndarray:
 
 
 def _root_bound(c: np.ndarray) -> float:
-    """Cauchy bound: every root lies within this modulus."""
-    lead = abs(c[-1])
-    return 1.0 + float(np.max(np.abs(c[:-1]))) / lead
+    """Fujiwara bound: every root lies within this modulus.
+
+    2 max_k |c_k / c_n|^(1/(n-k)), with c_0 halved.  Unlike Cauchy's
+    1 + max_k |c_k / c_n| it stays within a small factor of the largest
+    root when the coefficients span many orders of magnitude.
+    """
+    n = len(c) - 1
+    ratios = np.abs(c[:-1]) / abs(c[-1])
+    ratios[0] /= 2
+    return 2.0 * float(np.max(ratios ** (1.0 / (n - np.arange(n)))))
+
+
+def _horner(c: np.ndarray) -> Callable:
+    """Evaluator by double Horner on the ascending coefficients ``c``."""
+    rev = c[::-1]
+    drev = (c[1:] * np.arange(1, len(c)))[::-1]
+    return lambda z: (np.polyval(rev, z), np.polyval(drev, z))
+
+
+def _far_newton(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """P(z) / P'(z) from the reversed polynomial, finite where P overflows.
+
+    With w = 1/z and R(w) = w^n P(1/w) = sum_k c_k w^(n-k), the ratio is
+    z R(w) / (n R(w) - w R'(w)); for |z| > 1 no term exceeds sum_k |c_k|.
+    """
+    n = len(c) - 1
+    w = 1.0 / z
+    r = np.polyval(c, w)
+    dr = np.polyval(c[:-1] * np.arange(n, 0, -1), w)
+    return z * r / (n * r - w * dr)
+
+
+def _deflated(evaluate: Callable, m: int) -> Callable:
+    """Evaluator of P(z) / z^m from an evaluator of P."""
+
+    def inner(z):
+        p, dp = evaluate(z)
+        zm = z**m
+        return p / zm, (dp - m * p / z) / zm
+
+    return inner
 
 
 def all_roots(
     coeffs: list[complex],
     max_iter: int = 400,
     tol: float = 5e-14,
-    exact_coeffs: Optional[list[int]] = None,
+    evaluate: Optional[Callable] = None,
 ) -> tuple[list[complex], list[float], bool]:
     """Aberth-Ehrlich iteration for every root of a dense polynomial.
 
-    ``coeffs`` ascending; the leading coefficient must be nonzero.  Exact
-    zero roots are deflated first.  When ``exact_coeffs`` carries the
-    original integers, converged roots get exact-arithmetic Newton
-    polishing, pushing forward errors down to double resolution even when
-    coefficient size makes double evaluation noisy.  Returns (roots,
-    scaled residuals, converged flag).
+    ``coeffs`` ascending; the leading coefficient must be nonzero.
+    ``evaluate(z)`` returns the values and derivatives at an array of
+    points.  The default, double Horner on ``coeffs``, is noise-bound: a
+    particle stops moving once its value is within rounding error.  A
+    given ``evaluate`` must be accurate to double resolution near the
+    roots (the triangle recursion is): no particle is frozen, every one
+    moves until the step test passes, and conjugate candidates merge only
+    within 1e-9.  The coefficients still give the initial guesses, the
+    root bound, the overflow probe and the residuals.  Exact zero roots
+    are deflated first, from the evaluator too.  Returns (roots, scaled
+    residuals, converged flag).
     """
     cs = [complex(c) for c in coeffs]
     if any(not math.isfinite(c.real) or not math.isfinite(c.imag) for c in cs):
@@ -216,31 +209,46 @@ def all_roots(
     while cs[0] == 0:
         zero_roots.append(0j)
         cs = cs[1:]
-        if exact_coeffs is not None:
-            exact_coeffs = exact_coeffs[1:]
     deg = len(cs) - 1
     if deg == 0:
         roots_arr = np.array([], dtype=complex)
         converged = True
     else:
         c = np.array(cs, dtype=complex)
-        z = _initial_guesses(c)
-        dc = c[1:] * np.arange(1, deg + 1)
         abs_rev = np.abs(c[::-1])
+        noisy = evaluate is None
+        if noisy:
+            evaluate = _horner(c)
+        elif zero_roots:
+            evaluate = _deflated(evaluate, len(zero_roots))
+
+        def noise(z):
+            # Rounding bound of Horner's rule; 0 for an accurate evaluator.
+            return 8.0 * np.finfo(float).eps * np.polyval(abs_rev, np.abs(z)) if noisy else 0.0
+
+        def newton_ratio(z):
+            # |P| grows like |z|^n: where it overflows, the ratio comes
+            # from the reversed polynomial.  Any ratio still not finite
+            # (P' vanishing, say) is NaN.
+            with np.errstate(all="ignore"):
+                pz, dpz = evaluate(z)
+                newton = pz / dpz
+                far = ~np.isfinite(newton)
+                if np.any(far):
+                    newton[far] = _far_newton(c, z[far])
+            return pz, np.where(np.isfinite(newton), newton, np.nan)
+
+        z = _initial_guesses(c)
         bound = _root_bound(c)
         probe = float(np.polyval(abs_rev, float(np.max(np.abs(z)))))
         if not math.isfinite(probe):
             raise DegreeOverflow(
                 "polynomial values overflow double range during iteration"
             )
-        noise_factor = 8.0 * np.finfo(float).eps
         escape_rotation = 0.0
         converged = False
         for _ in range(max_iter):
-            pz = np.polyval(c[::-1], z)
-            dpz = np.polyval(dc[::-1], z)
-            dpz = np.where(dpz == 0, 1e-300, dpz)
-            newton = pz / dpz
+            pz, newton = newton_ratio(z)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
             absdiff = np.abs(diff)
@@ -253,39 +261,36 @@ def all_roots(
             # Exception: of two particles crowding one root, the one with
             # the larger value keeps moving so the ensemble repulsion can
             # push it towards an unclaimed root.
-            noise = noise_factor * np.polyval(abs_rev, np.abs(z))
             partner = np.argmin(absdiff, axis=1)
             crowded = np.min(absdiff, axis=1) < 1e-5 * (1.0 + np.abs(z))
             junior = crowded & (np.abs(pz) >= np.abs(pz)[partner])
-            frozen = (np.abs(pz) <= noise) & ~junior
+            frozen = (np.abs(pz) <= noise(z)) & ~junior
             denom = 1.0 - newton * sums
             denom = np.where(denom == 0, 1e-300, denom)
             step = np.where(frozen, 0.0, newton / denom)
             z = z - step
-            # Particles flung outside the Cauchy disk cannot be near any
-            # root; pull them back onto the bound circle at a fresh angle.
-            runaway = np.abs(z) > 2.0 * bound
+            # Particles flung outside the root bound, or to where P
+            # overflows, cannot be near any root; pull them back onto the
+            # bound circle at a fresh angle.
+            runaway = ~(np.abs(z) <= 2.0 * bound)
             if np.any(runaway):
                 escape_rotation += 0.83
-                angles = np.angle(z[runaway]) + escape_rotation
+                angles = np.angle(np.nan_to_num(z[runaway])) + escape_rotation
                 z[runaway] = bound * np.exp(1j * angles)
                 continue
             if np.all(frozen | (np.abs(step) <= tol * (1.0 + np.abs(z)))):
                 converged = True
                 break
-        # Newton polish for particles still above the noise floor.
-        for _ in range(3):
-            pz = np.polyval(c[::-1], z)
-            noise = noise_factor * np.polyval(abs_rev, np.abs(z))
-            dpz = np.polyval(dc[::-1], z)
-            mask = (np.abs(pz) > noise) & (dpz != 0)
-            z = np.where(mask, z - pz / np.where(dpz == 0, 1.0, dpz), z)
-        if exact_coeffs is not None:
-            z = _polish_exact(exact_coeffs, z)
+        # Newton polish for particles still above the noise floor.  With
+        # an accurate evaluator, a run that passed the step test has none.
+        for _ in range(3 if noisy or not converged else 0):
+            pz, newton = newton_ratio(z)
+            mask = (np.abs(pz) > noise(z)) & np.isfinite(newton)
+            z = np.where(mask, z - newton, z)
         if np.all(np.isreal(c)):
-            z = _symmetrize_conjugates(
-                z, tol=1e-9 if exact_coeffs is not None else 1e-6
-            )
+            # Accurate evaluation leaves errors near double resolution, so
+            # it merges only much closer conjugate candidates.
+            z = _symmetrize_conjugates(z, tol=1e-6 if noisy else 1e-9)
         roots_arr = z
     res = _scaled_residuals(np.array(cs, dtype=complex), roots_arr) if deg else np.array([])
     # The step criterion can chatter at the noise floor; a backward error
@@ -305,27 +310,9 @@ def all_roots(
 
 
 def roots(p: Poly, slope: Optional[Slope] = None, ring: str = "parabolic") -> RootSet:
-    """Root set of an arbitrary polynomial (complex-double pipeline).
-
-    Integer-coefficient input keeps its exact coefficients alongside the
-    double conversion so the final Newton polish can evaluate exactly.
-    """
-    if all(isinstance(c, int) for c in p.coeffs):
-        exact = list(p.coeffs)
-        coeffs = [complex(c) for c in exact]
-    else:
-        exact = None
-        coeffs = to_complex_coeffs(p)
-    rs, res, ok = all_roots(coeffs, exact_coeffs=exact)
+    """Root set of an arbitrary polynomial, by double Horner evaluation."""
+    rs, res, ok = all_roots(to_complex_coeffs(p))
     return RootSet(slope=slope, ring=ring, roots=rs, residuals=res, converged=ok)
-
-
-def _shifted_polynomial(s: Slope, params: Optional[GeneratorParams]) -> tuple[Poly, str]:
-    if s.is_infinite:
-        raise FormalVertex("1/0 has no root locus")
-    ring = Ring.parse("parabolic" if params is None or params.is_parabolic else params)
-    two = Poly([ring.coeff(Laurent2.const(2))])
-    return get_engine(ring).polynomial(s) + two, ring.label
 
 
 def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootSet:
@@ -333,16 +320,29 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
 
     These approximate the boundary of the (parabolic or cone-angle)
     slice; which of them are genuine cusp points is an open question.
+    The iteration evaluates P + 2 and P' by the triangle recursion.
     """
-    poly, label = _shifted_polynomial(s, params)
+    if s.is_infinite:
+        raise FormalVertex("1/0 has no root locus")
+    ring = Ring.parse("parabolic" if params is None or params.is_parabolic else params)
+    engine = get_engine(ring)
+    two = ring.coeff(Laurent2.const(2))
     if s.q > DEGREE_GUARD:
         warnings.warn(
             f"degree {s.q} exceeds the double-precision comfort zone "
             f"({DEGREE_GUARD}); residuals may degrade",
             stacklevel=2,
         )
-    rs = roots(poly, slope=s, ring=label)
-    return rs
+
+    def shifted(z):
+        p, dp = engine.evaluate(s, z)
+        return p + two, dp
+
+    # The coefficients only seed, bound and score the iteration, so exact
+    # integers past 2**53 convert to doubles without a lossy-input warning.
+    coeffs = [complex(c) for c in (engine.polynomial(s) + Poly([two])).coeffs]
+    rs, res, ok = all_roots(coeffs, evaluate=shifted)
+    return RootSet(slope=s, ring=ring.label, roots=rs, residuals=res, converged=ok)
 
 
 def slice_cloud(q_max: int, params: Optional[GeneratorParams] = None) -> list[RootSet]:

@@ -16,14 +16,23 @@ calling a ``step`` once per new slope.  The ring engines, the
 homogeneous family (the parabolic recursion with C = 0) and
 ``frf.frf_eval`` differ only in their seeds and step.
 
+The same triangle step also runs on complex numbers:
+``FareyPolynomialEngine.evaluate`` replays it on numpy arrays, giving P
+and P' at many points at once with no polynomial product and without the
+cancellation of Horner's rule on the expanded coefficients.
+
 Cache discipline: one engine per ring, entries immutable once inserted.
-Population is single-writer; concurrent readers only ever observe
-completed entries.
+Each engine populates its caches under its own lock and ``get_engine``
+creates engines under a module lock, so concurrent callers share one
+engine per ring and only ever observe completed entries.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
+
+import numpy as np
 
 from . import oracle
 from .rings import Laurent2, Poly, Ring, RingSpec
@@ -97,29 +106,82 @@ class FareyPolynomialEngine:
 
     def __init__(self, ring: RingSpec = "parabolic"):
         self.ring = ring
-        self._cache: dict[Slope, Poly] = _seeds(Ring.parse(ring))
+        parsed = Ring.parse(ring)
+        self._scalar = parsed.name != "generic"
+        self._cache: dict[Slope, Poly] = _seeds(parsed)
         self._constants = recursion_constants(ring)
+        self._last_plan: tuple = (None, [], 0)
+        self._lock = threading.Lock()
 
     def polynomial(self, s: Slope) -> Poly:
-        return descend(self._cache, s, self._step)
+        with self._lock:
+            return descend(self._cache, s, self._step)
 
     def _step(self, t: Slope, a: Slope, b: Slope, d: Slope) -> Poly:
         cache = self._cache
         return self._constants[t.q % 2] - cache[a] * cache[b] - cache[d]
+
+    def _plan(self, s: Slope) -> tuple[Slope, list[tuple[int, int, int, int]], int]:
+        """(s, the triangle steps from the seeds to ``s``, the number of ``s``).
+
+        Slopes are numbered in visiting order, seeds first; a step t from
+        (a, b, d) is (t.q % 2, number of a, number of b, number of d).  A
+        root search evaluates one slope many times in a row, so the last
+        plan is kept; keeping them all would grow like the polynomial cache.
+        """
+        plan = self._last_plan
+        if plan[0] != s:
+            index = {u: i for i, u in enumerate(_GENERIC_SEEDS)}
+            steps = []
+
+            def record(t, a, b, d):
+                index[t] = len(index)
+                steps.append((t.q % 2, index[a], index[b], index[d]))
+
+            descend(dict.fromkeys(_GENERIC_SEEDS), s, record)
+            plan = self._last_plan = (s, steps, index[s])
+        return plan
+
+    def evaluate(self, s: Slope, z) -> tuple[np.ndarray, np.ndarray]:
+        """(P(z), P'(z)) at every point of the complex array ``z``.
+
+        Replays the triangle steps from the seeds to ``s`` on arrays,
+        v_t = C - v_a v_b - v_d and v'_t = -(v'_a v_b + v_a v'_b) - v'_d,
+        so it multiplies no polynomials.  The generic ring has no scalar
+        values and raises ValueError.
+        """
+        if not self._scalar:
+            raise ValueError("the generic ring has no scalar values to evaluate at")
+        z = np.asarray(z, dtype=complex)
+        _, steps, target = self._plan(s)
+        val, der = [], []
+        for u in _GENERIC_SEEDS:
+            c = self._cache[u].coeffs + [0, 0]
+            val.append(c[0] + c[1] * z)
+            der.append(np.full_like(z, c[1]))
+        consts = [c.constant() for c in self._constants]
+        for parity, a, b, d in steps:
+            va, vb = val[a], val[b]
+            val.append(consts[parity] - va * vb - val[d])
+            der.append(-(der[a] * vb + va * der[b]) - der[d])
+        return val[target], der[target]
 
     def cached_slopes(self) -> list[Slope]:
         return list(self._cache)
 
 
 _ENGINES: dict = {}
+_ENGINES_LOCK = threading.Lock()
 _HOMOGENEOUS: dict[Slope, Poly] = _seeds(Ring.parse("parabolic"))
+_HOMOGENEOUS_LOCK = threading.Lock()
 
 
 def get_engine(ring: RingSpec = "parabolic") -> FareyPolynomialEngine:
     key = Ring.parse(ring)
-    if key not in _ENGINES:
-        _ENGINES[key] = FareyPolynomialEngine(ring)
-    return _ENGINES[key]
+    with _ENGINES_LOCK:
+        if key not in _ENGINES:
+            _ENGINES[key] = FareyPolynomialEngine(ring)
+        return _ENGINES[key]
 
 
 def farey_polynomial(s: Slope, ring: RingSpec = "parabolic") -> Poly:
@@ -139,7 +201,8 @@ def homogeneous_farey_polynomial(s: Slope) -> Poly:
     value(mediant) = -value(a)*value(b) - value(d).
     """
     cache = _HOMOGENEOUS
-    return descend(cache, s, lambda t, a, b, d: -(cache[a] * cache[b]) - cache[d])
+    with _HOMOGENEOUS_LOCK:
+        return descend(cache, s, lambda t, a, b, d: -(cache[a] * cache[b]) - cache[d])
 
 
 def fan_walk(cf: CFExpansion, n: int, ring: RingSpec = "parabolic") -> list[tuple[Slope, Poly]]:

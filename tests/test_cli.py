@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fareyslice.cli import main
 
 
@@ -124,3 +126,27 @@ def test_usage_errors(capsys):
     assert main(["nonsense"]) == 1
     assert main(["word", "--slope", "abc"]) == 1
     assert main(["slice", "--qmax", "3", "--ring", "generic"]) == 1
+
+
+def test_errors_inside_a_computation_exit_2(capsys):
+    # Both commands parse; the ValueError comes from the library call.
+    code, _, err = run(capsys, "closed-form", "--q", "-1", "--z", "1")
+    assert code == 2 and "computation failed" in err
+    code, _, err = run(capsys, "conjecture", "--qmax", "1")
+    assert code == 2 and "computation failed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed-form", "--q", "2", "--z", "x"],
+        ["poly", "--slope", "5/3"],
+        ["cusp-path", "--cf", "0,a", "--depth", "2"],
+        ["cusp-path", "--cf", "0,-1", "--depth", "2"],
+        ["poly", "--slope", "1/2", "--ring", "numeric", "--a", "1"],
+    ],
+    ids=["complex", "slope-domain", "cf-int", "cf-terms", "cone-order"],
+)
+def test_arguments_that_do_not_parse_exit_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "usage error" in err

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import pytest
@@ -12,6 +13,45 @@ from fareyslice import (
 )
 from fareyslice import pleating
 from fareyslice.errors import DegreeOverflow
+
+# Exact evaluation oracle for forward accuracy.  Doubles are dyadic
+# rationals, so Horner's rule over integers scaled by 2**FIXED_BITS rounds
+# only in one floor shift per step (about 2**-128 relative).
+FIXED_BITS = 128
+
+
+def _to_fixed(x: float) -> int:
+    m, e = math.frexp(x)
+    mantissa = int(m * (1 << 53))
+    shift = e - 53 + FIXED_BITS
+    return mantissa << shift if shift >= 0 else mantissa >> -shift
+
+
+def eval_dyadic(int_coeffs: list[int], z: complex) -> complex:
+    x, y = _to_fixed(z.real), _to_fixed(z.imag)
+    re = im = 0
+    for c in reversed(int_coeffs):
+        re, im = (
+            ((re * x - im * y) >> FIXED_BITS) + (c << FIXED_BITS),
+            (re * y + im * x) >> FIXED_BITS,
+        )
+    scale = 1 << FIXED_BITS
+    return complex(re / scale, im / scale)
+
+
+def assert_root_set_properties(rs, coeffs):
+    """Criterion 11 on one root set of the polynomial with ``coeffs``:
+    count, residual < 1e-8, converged, conjugation closure and the Vieta
+    sum to 1e-8."""
+    q = rs.slope.q
+    assert len(rs.roots) == q
+    assert max(rs.residuals) < 1e-8
+    assert rs.converged
+    for z in rs.roots:
+        assert any(abs(z.conjugate() - w) < 1e-8 for w in rs.roots), (rs.slope, z)
+    if q >= 2:
+        want = -coeffs[q - 1] / coeffs[q]
+        assert abs(sum(rs.roots) - want) <= 1e-8 * max(1.0, abs(want)), rs.slope
 
 
 def S(text):
@@ -102,6 +142,37 @@ def test_slice_cloud_elliptic_runs():
         assert rs.ring == "numeric(3,4)"
 
 
+def test_slice_cloud_elliptic_forward_checks():
+    # Cone-angle coefficients are real, so roots close under conjugation.
+    params = GeneratorParams(3, 4)
+    for rs in pleating.slice_cloud(20, params):
+        assert_root_set_properties(rs, farey_polynomial(rs.slope, params).coeffs)
+
+
+def test_cusp_candidates_forward_accurate_up_to_40():
+    # The exact Newton correction at every root is within 1e-12 relative.
+    for s in enumerate_farey(40):
+        rs = pleating.cusp_candidates(s)
+        shifted = (farey_polynomial(s, "parabolic") + Poly([2])).coeffs
+        deriv = [k * c for k, c in enumerate(shifted)][1:]
+        for z in rs.roots:
+            step = eval_dyadic(shifted, z) / eval_dyadic(deriv, z)
+            assert abs(step) <= 1e-12 * (1 + abs(z)), (s, z, step)
+
+
+# 98/99: the first Aberth step flings a particle to |z| ~ 4e3, where P
+# overflows doubles; the particle must be pulled back, not spread NaN.
+# 127/128: P overflows even on the root-bound circle, so the Newton ratio
+# there must come from the reversed polynomial.
+@pytest.mark.parametrize(
+    "s", [Slope(89, 144), Slope(98, 99), Slope(127, 128)], ids=str
+)
+def test_cusp_candidates_past_degree_guard(s):
+    with pytest.warns(UserWarning, match="comfort zone"):
+        rs = pleating.cusp_candidates(s)
+    assert_root_set_properties(rs, farey_polynomial(s, "parabolic").coeffs)
+
+
 def test_irrational_cusp_path_golden():
     golden = CFExpansion((0, 1), period=1)
     sets = pleating.irrational_cusp_path(golden, 6)
@@ -147,9 +218,41 @@ def test_roots_warns_on_lossy_inexact_input():
         pleating.roots(Poly([2**60, 1j, 1]))
 
 
+def test_roots_warns_on_integer_input_past_double_range():
+    with pytest.warns(UserWarning, match=r"2\*\*53"):
+        pleating.roots(Poly([2**60, 1, 1]))
+
+
 def test_exact_coefficients_past_double_range_do_not_warn():
     # 1/42 is the first slope with a coefficient past 2**53, below DEGREE_GUARD;
-    # exact integer input is polished exactly, so nothing is lost.
+    # the roots come from the recursion's values, and the doubles only seed
+    # and score the iteration, so nothing is lost.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pleating.cusp_candidates(Slope(1, 42))
+
+
+# z^2 + 4, and z^3 + 4z, whose exact zero root is split off and the
+# evaluator deflated.
+@pytest.mark.parametrize(
+    "coeffs, evaluate, want",
+    [
+        ([4, 0, 1], lambda z: (z * z + 4, 2 * z), [(0, -2), (0, 2)]),
+        ([0, 4, 0, 1], lambda z: (z**3 + 4 * z, 3 * z * z + 4), [(0, -2), (0, 0), (0, 2)]),
+    ],
+    ids=["z^2+4", "z^3+4z"],
+)
+def test_all_roots_with_an_evaluator(coeffs, evaluate, want):
+    rs, res, ok = pleating.all_roots(coeffs, evaluate=evaluate)
+    assert ok and max(res) < 1e-15
+    assert sorted((round(z.real, 12), round(z.imag, 12)) for z in rs) == want
+
+
+def test_cusp_candidates_with_a_root_at_zero():
+    # At orders (2, 2) the constant of P + 2 is exactly 0 for 1/1, 1/3, ...
+    params = GeneratorParams(2, 2)
+    assert pleating.cusp_candidates(S("1/1"), params).roots == [0j]
+    rs = pleating.cusp_candidates(S("1/3"), params)
+    assert 0j in rs.roots
+    for rs in pleating.slice_cloud(5, params):
+        assert_root_set_properties(rs, farey_polynomial(rs.slope, params).coeffs)

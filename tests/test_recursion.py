@@ -1,5 +1,9 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from fareyslice import (
@@ -198,3 +202,59 @@ def test_fan_walk_multiplication_count(kind, monkeypatch):
     # One multiplication per uncached slope on the Fibonacci chain.
     assert poly_mul_count() == len(cache) - before == 6
     reset_poly_mul_count()
+
+
+@pytest.mark.parametrize("ring", ["parabolic", GeneratorParams(3, 4)], ids=["parabolic", "numeric(3,4)"])
+def test_evaluate_matches_polynomial_without_products(ring):
+    engine = recursion.get_engine(ring)
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12)
+    for s in enumerate_farey(16) + [INFINITY]:
+        coeffs = [complex(c) for c in engine.polynomial(s).coeffs]
+        deriv = [k * c for k, c in enumerate(coeffs)][1:]
+        before = poly_mul_count()
+        value, slope_value = engine.evaluate(s, z)
+        assert poly_mul_count() == before
+        for got, cs in ((value, coeffs), (slope_value, deriv)):
+            want = np.polyval(cs[::-1], z) if cs else np.zeros_like(z)
+            scale = np.polyval(np.abs(cs[::-1]), np.abs(z)) if cs else np.ones(len(z))
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), s
+
+
+def test_evaluate_rejects_the_generic_ring():
+    with pytest.raises(ValueError, match="scalar"):
+        recursion.get_engine("generic").evaluate(Slope(1, 2), np.array([1j]))
+
+
+def test_concurrent_engines_agree_with_oracle(monkeypatch):
+    # Eight threads on fewer cores, released together and switching every
+    # few microseconds, race to create the one generic engine and to fill
+    # its cache with overlapping slopes.  Every slope must be computed
+    # exactly once: one multiplication per cached slope, as in one thread.
+    monkeypatch.setattr(recursion, "_ENGINES", {})
+    slopes = enumerate_farey(10)
+    want = {s: oracle.farey_polynomial(s, "generic") for s in slopes}
+    start = threading.Barrier(8)
+
+    def work(k):
+        start.wait(timeout=60)
+        mine = slopes[k * 5:] + slopes[:k * 5]
+        return [(s, recursion.get_engine("generic"), farey_polynomial(s, "generic"))
+                for s in mine]
+
+    before = poly_mul_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, k) for k in range(8)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    engine = recursion.get_engine("generic")
+    assert poly_mul_count() - before == len(engine.cached_slopes()) - 3
+    for rows in results:
+        assert len(rows) == len(slopes)
+        for s, got_engine, poly in rows:
+            assert got_engine is engine
+            assert poly == want[s], s
