@@ -90,10 +90,15 @@ def gen_matrix(letter: Letter, ring: RingSpec = "generic") -> Mat2:
 
 
 def word_matrix(w: Word, ring: RingSpec = "generic") -> Mat2:
-    """Left-to-right product of the letter matrices."""
+    """Left-to-right product of the letter matrices.
+
+    Each distinct letter's matrix is built once per call.
+    """
+    ring = Ring.parse(ring)
+    mats = {letter: gen_matrix(letter, ring) for letter in set(w.letters)}
     m = identity_matrix(ring)
     for letter in w.letters:
-        m = m @ gen_matrix(letter, ring)
+        m = m @ mats[letter]
     return m
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -364,13 +365,8 @@ def irrational_cusp_path(
     no matrix products); only the ``depth`` true convergents are root-
     solved.
     """
-    targets = []
-    for s, is_conv in _mediant_walk(cf):
-        if is_conv:
-            targets.append(s)
-            if len(targets) >= depth:
-                break
-    return [cusp_candidates(s, params) for s in targets]
+    convergents = (s for s, is_conv in _mediant_walk(cf) if is_conv)
+    return [cusp_candidates(s, params) for s in islice(convergents, max(depth, 0))]
 
 
 def extremal_root_heuristic(rs: RootSet) -> complex:

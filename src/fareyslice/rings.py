@@ -11,6 +11,12 @@ Two layers live here:
 Every value is immutable in practice (nothing mutates after construction)
 and all operations are pure.  ``Poly`` multiplications are counted in a
 module-level tally so benchmark code can report exact operation counts.
+
+``Laurent2`` invariant: a value stores no zero coefficient.  Its arithmetic
+allocates only the result, and its fast paths (adding zero, multiplying
+by the constant 1) return an operand itself, so results share term dicts
+with their inputs.  ``.terms`` must therefore never be mutated; build a
+new value instead.
 """
 
 from __future__ import annotations
@@ -55,7 +61,9 @@ class Laurent2:
 
     The two formal variables are the upper-triangular and lower-triangular
     generator parameters.  Zero coefficients are never stored; plain ints
-    mix freely with Laurent2 values in arithmetic.
+    mix freely with Laurent2 values in arithmetic.  The public constructor
+    filters zeros out of its input; the arithmetic builds its results with
+    ``_from_terms`` and keeps them zero-free itself.
     """
 
     __slots__ = ("terms",)
@@ -74,63 +82,85 @@ class Laurent2:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _coerce(self, other):
+    def __eq__(self, other) -> bool:
         if isinstance(other, Laurent2):
-            return other
+            return self.terms == other.terms
         if isinstance(other, int):
-            return Laurent2.const(other)
+            return self.terms == ({(0, 0): other} if other else {})
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
     def __neg__(self) -> "Laurent2":
-        return Laurent2({k: -v for k, v in self.terms.items()})
+        return _from_terms({k: -v for k, v in self.terms.items()})
+
+    def _scaled(self, n: int) -> "Laurent2":
+        if n == 1:
+            return self
+        if not n:
+            return _from_terms({})
+        return _from_terms({k: n * v for k, v in self.terms.items()})
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, 0) + v
+        if isinstance(other, Laurent2):
+            a, b = self.terms, other.terms
+            if not b:
+                return self
+            if not a:
+                return other
+            if len(a) < len(b):
+                a, b = b, a
+            out = dict(a)
+            get = out.get
+            for k, v in b.items():
+                w = get(k, 0) + v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+            return _from_terms(out)
+        if isinstance(other, int):
+            if not other:
+                return self
+            out = dict(self.terms)
+            w = out.get((0, 0), 0) + other
             if w:
-                out[k] = w
+                out[(0, 0)] = w
             else:
-                out.pop(k, None)
-        return Laurent2(out)
+                del out[(0, 0)]
+            return _from_terms(out)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (Laurent2, int)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
+        if not isinstance(other, Laurent2):
+            return self._scaled(other) if isinstance(other, int) else NotImplemented
+        small, big = self, other
+        if len(small.terms) > len(big.terms):
+            small, big = big, small
+        a, b = small.terms, big.terms
+        if len(a) == 1:
+            # A monomial factor: shift the keys, or scale by a constant.
+            ((i1, j1), c1), = a.items()
+            if not (i1 or j1):
+                return big._scaled(c1)
+            if c1 == 1:
+                return _from_terms({(i1 + i2, j1 + j2): c2 for (i2, j2), c2 in b.items()})
+            return _from_terms({(i1 + i2, j1 + j2): c1 * c2 for (i2, j2), c2 in b.items()})
         out: dict = {}
+        get = out.get
         for (i1, j1), c1 in a.items():
             for (i2, j2), c2 in b.items():
                 k = (i1 + i2, j1 + j2)
-                w = out.get(k, 0) + c1 * c2
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
-        return Laurent2(out)
+                out[k] = get(k, 0) + c1 * c2
+        return _from_terms({k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -149,6 +179,13 @@ class Laurent2:
             return "Laurent2(0)"
         bits = [f"{c}*u^{i}*v^{j}" for i, j, c in self.sorted_terms()]
         return "Laurent2(" + " + ".join(bits) + ")"
+
+
+def _from_terms(terms: dict) -> Laurent2:
+    """A Laurent2 that wraps a dict holding no zero coefficient, uncopied."""
+    out = object.__new__(Laurent2)
+    out.terms = terms
+    return out
 
 
 class Poly:
@@ -375,8 +412,10 @@ class Ring:
         return self.name if self.params is None else f"numeric({self.params.label()})"
 
 
-# Anything Ring.parse accepts.
-RingSpec = Union[str, GeneratorParams, Ring]
+# Anything Ring.parse accepts.  The names are forward references: typing
+# caches every Union it builds, and a Union of the classes themselves would
+# keep each imported copy of this module alive.
+RingSpec = Union[str, "GeneratorParams", "Ring"]
 
 
 def specialize_parabolic(p: Poly) -> Poly:

@@ -92,6 +92,12 @@ def test_cusp_path_command(capsys, tmp_path):
     assert len(target.read_text().strip().splitlines()) > 5
 
 
+def test_cusp_path_depth_zero_prints_only_the_header(capsys):
+    code, out, _ = run(capsys, "cusp-path", "--cf", "0,1", "--periodic", "1", "--depth", "0")
+    assert code == 0
+    assert out == "re,im,p,q,residual\n"
+
+
 def test_conjecture_command(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     svg_path = tmp_path / "tree.svg"

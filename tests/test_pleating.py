@@ -182,6 +182,8 @@ def test_irrational_cusp_path_golden():
     assert abs(sets[0].roots[0] + 4) < 1e-12
     for rs in sets:
         assert max(rs.residuals) < 1e-8
+    assert pleating.irrational_cusp_path(golden, 0) == []
+    assert pleating.irrational_cusp_path(golden, -1) == []
 
 
 def test_irrational_cusp_path_sqrt2():

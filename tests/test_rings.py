@@ -1,8 +1,12 @@
+import gc
+import importlib.util
 import math
 import random
+import sys
+import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fareyslice import (
     GeneratorParams,
@@ -58,8 +62,13 @@ def test_poly_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-laurent_terms = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-9, 9), max_size=4
+laurent_keys = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+# General values, one-term values and constants (zero and +-1 among them),
+# so that the kernel's monomial and constant fast paths are drawn often.
+laurent_terms = st.one_of(
+    st.dictionaries(laurent_keys, st.integers(-9, 9), max_size=4),
+    st.builds(lambda k, c: {k: c}, laurent_keys, st.integers(-9, 9)),
+    st.integers(-2, 2).map(lambda c: {(0, 0): c}),
 )
 
 
@@ -71,6 +80,77 @@ def test_laurent_ring_axioms(ta, tb, tc):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def reference_mul(a: dict, b: dict) -> dict:
+    """The general double loop that Laurent2 products used to run."""
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            w = out.get(k, 0) + c1 * c2
+            if w:
+                out[k] = w
+            else:
+                out.pop(k, None)
+    return out
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k, 0) + v
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
+
+
+def reference_neg(a: dict) -> dict:
+    return {k: -v for k, v in a.items()}
+
+
+def terms_of(x) -> dict:
+    return x.terms if isinstance(x, Laurent2) else ({(0, 0): x} if x else {})
+
+
+laurents = laurent_terms.map(Laurent2)
+operands = st.one_of(laurents, st.integers(-3, 3))
+# Few keys and coefficients +-1: products whose terms cancel at some key.
+dense_laurents = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)), st.integers(-1, 1), min_size=2
+).map(Laurent2)
+# Arbitrary pairs, plus pairs that cancel fully under addition.
+kernel_pairs = st.one_of(
+    st.tuples(laurents, operands),
+    st.tuples(dense_laurents, dense_laurents),
+    laurents.map(lambda x: (x, Laurent2(reference_neg(x.terms)))),
+    st.integers(-3, 3).map(lambda c: (Laurent2.const(c), -c)),
+)
+
+
+@settings(max_examples=400)
+@given(kernel_pairs)
+@example((Laurent2({(0, 0): 1, (1, 0): 1}), Laurent2({(0, 0): 1, (1, 0): -1})))
+def test_laurent_kernel_matches_the_double_loop(pair):
+    x, y = pair
+    a, b = dict(terms_of(x)), dict(terms_of(y))
+    cases = [
+        (x * y, reference_mul(a, b)),
+        (y * x, reference_mul(b, a)),
+        (x + y, reference_add(a, b)),
+        (y + x, reference_add(b, a)),
+        (x - y, reference_add(a, reference_neg(b))),
+        (y - x, reference_add(b, reference_neg(a))),
+        (-x, reference_neg(a)),
+    ]
+    for got, want in cases:
+        assert isinstance(got, Laurent2)
+        assert got.terms == want
+        assert all(got.terms.values()), "a zero coefficient is stored"
+    # Fast paths may share an operand's dict; none may write to it.
+    assert terms_of(x) == a and terms_of(y) == b
 
 
 complex_polys = st.lists(
@@ -216,3 +296,21 @@ def test_unknown_ring_raises_from_the_parser(call):
     with pytest.raises(ValueError, match="unknown ring") as info:
         call()
     assert info.traceback[-1].frame.code.raw is Ring.parse.__func__.__code__
+
+
+def test_a_second_import_of_rings_is_freed():
+    # The benchmark imports the library afresh before every pass; nothing
+    # process-wide (such as typing's Union cache) may keep old copies alive.
+    from fareyslice import rings
+
+    name = "fareyslice._rings_copy"
+    spec = importlib.util.spec_from_file_location(name, rings.__file__)
+    copy = sys.modules[name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(copy)
+        ref = weakref.ref(copy.Ring)
+    finally:
+        del sys.modules[name]
+    del copy
+    gc.collect()
+    assert ref() is None

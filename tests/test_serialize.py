@@ -1,43 +1,41 @@
-from fareyslice import GeneratorParams, Slope, farey_polynomial
+from hypothesis import given, settings, strategies as st
+
+from fareyslice import GeneratorParams, enumerate_farey, farey_polynomial
 from fareyslice import pleating, serialize
 
 
-def S(text):
-    return Slope.parse(text)
-
-
-def test_parabolic_polynomial_roundtrip():
-    poly = farey_polynomial(S("34/55"), "parabolic")
-    payload = serialize.polynomial_payload(S("34/55"), "parabolic", poly)
-    text = serialize.dumps_canonical(payload)
-    slope, ring, back = serialize.parse_polynomial(text)
-    assert (slope, ring) == (S("34/55"), "parabolic")
+def assert_round_trip(s, ring):
+    """poly -> JSON -> parse -> JSON is byte-stable and gives poly back."""
+    label = ring if isinstance(ring, str) else f"numeric({ring.label()})"
+    poly = farey_polynomial(s, ring)
+    text = serialize.dumps_canonical(serialize.polynomial_payload(s, label, poly))
+    slope, parsed_ring, back = serialize.parse_polynomial(text)
+    assert (slope, parsed_ring) == (s, label)
     assert back == poly
-    again = serialize.dumps_canonical(serialize.polynomial_payload(slope, ring, back))
+    again = serialize.dumps_canonical(serialize.polynomial_payload(slope, parsed_ring, back))
     assert again == text
 
 
-def test_generic_polynomial_roundtrip():
-    poly = farey_polynomial(S("3/8"), "generic")
-    text = serialize.dumps_canonical(
-        serialize.polynomial_payload(S("3/8"), "generic", poly)
-    )
-    slope, ring, back = serialize.parse_polynomial(text)
-    assert back == poly
-    again = serialize.dumps_canonical(serialize.polynomial_payload(slope, ring, back))
-    assert again == text
+slopes_to_12 = st.sampled_from(enumerate_farey(12))
+slopes_to_40 = st.sampled_from(enumerate_farey(40))
 
 
-def test_numeric_polynomial_roundtrip():
-    params = GeneratorParams(3, 4)
-    poly = farey_polynomial(S("2/5"), params)
-    label = f"numeric({params.label()})"
-    text = serialize.dumps_canonical(serialize.polynomial_payload(S("2/5"), label, poly))
-    slope, ring, back = serialize.parse_polynomial(text)
-    assert ring == label
-    assert all(a == b for a, b in zip(back.coeffs, poly.coeffs))
-    again = serialize.dumps_canonical(serialize.polynomial_payload(slope, ring, back))
-    assert again == text
+@settings(max_examples=40, deadline=None)
+@given(slopes_to_40)
+def test_parabolic_polynomial_roundtrip(s):
+    assert_round_trip(s, "parabolic")
+
+
+@settings(max_examples=40, deadline=None)
+@given(slopes_to_12)
+def test_generic_polynomial_roundtrip(s):
+    assert_round_trip(s, "generic")
+
+
+@settings(max_examples=40, deadline=None)
+@given(slopes_to_40)
+def test_numeric_polynomial_roundtrip(s):
+    assert_round_trip(s, GeneratorParams(3, 4))
 
 
 def test_roots_csv():
@@ -47,6 +45,13 @@ def test_roots_csv():
     assert lines[0] == "re,im,p,q,residual"
     assert len(lines) == 1 + 4
     assert lines[1].split(",")[2:4] == ["0", "1"]
+    rows = [line.split(",") for line in lines[1:]]
+    parsed = [(float(re), float(im), int(p), int(q), float(r)) for re, im, p, q, r in rows]
+    assert parsed == [
+        (z.real, z.imag, rs.slope.p, rs.slope.q, r)
+        for rs in sets
+        for z, r in zip(rs.roots, rs.residuals)
+    ]
 
 
 def test_scatter_svg():
