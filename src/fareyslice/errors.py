@@ -37,10 +37,6 @@ class ZeroDivisor(FareySliceError):
     """A required exact inverse does not exist in the coefficient ring."""
 
 
-class NonConvergence(FareySliceError):
-    """Root iteration failed to converge within the iteration budget."""
-
-
 class DegreeOverflow(FareySliceError):
     """Coefficients exceed double range; root finding would be meaningless."""
 

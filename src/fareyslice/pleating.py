@@ -6,7 +6,8 @@ polynomials the iteration evaluates P + 2 and P' by the triangle
 recursion on arrays of points, which keeps roots accurate to double
 resolution where Horner's rule on the expanded coefficients is
 noise-bound; the coefficients only place the initial guesses, bound the
-iteration and score it.  Reported residuals are backward-error scaled,
+iteration and score it; ``all_roots`` states the loop's one restart
+rule.  Reported residuals are backward-error scaled,
 |P(z)| / sum_k |c_k| |z|^k: an absolute residual is meaningless for these
 polynomials, whose terms reach 1e20+ at the outermost roots while
 cancelling to machine precision.
@@ -15,7 +16,6 @@ cancelling to machine precision.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Optional
@@ -38,8 +38,6 @@ __all__ = [
     "dynsys_check",
     "DynSysReport",
 ]
-
-DEGREE_GUARD = 60
 
 
 @dataclass
@@ -104,13 +102,14 @@ def _scaled_residuals(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.abs(vals) / scale
 
 
-def _initial_guesses(c: np.ndarray) -> np.ndarray:
+def _initial_guesses(c: np.ndarray, bound: float) -> np.ndarray:
     """Starting points on annuli from the upper hull of (i, log|c_i|).
 
     Each hull segment contributes its Newton-polygon radius and as many
-    equally spaced angles as its width; this keeps every particle within
-    a constant factor of some root's modulus, where a single circle can
-    fling particles toward infinity when the moduli spread widely.
+    equally spaced angles as its width, its radius capped at ``bound``;
+    this keeps every particle within a constant factor of some root's
+    modulus, where a single circle can fling particles toward infinity
+    when the moduli spread widely.
     """
     logs = [
         (i, math.log(abs(ci))) for i, ci in enumerate(c) if ci != 0
@@ -124,7 +123,6 @@ def _initial_guesses(c: np.ndarray) -> np.ndarray:
             else:
                 break
         hull.append((x, y))
-    bound = _root_bound(c)
     guesses = []
     for seg, ((x1, y1), (x2, y2)) in enumerate(zip(hull, hull[1:])):
         radius = min(math.exp((y1 - y2) / (x2 - x1)), bound)
@@ -155,19 +153,6 @@ def _horner(c: np.ndarray) -> Callable:
     return lambda z: (np.polyval(rev, z), np.polyval(drev, z))
 
 
-def _far_newton(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """P(z) / P'(z) from the reversed polynomial, finite where P overflows.
-
-    With w = 1/z and R(w) = w^n P(1/w) = sum_k c_k w^(n-k), the ratio is
-    z R(w) / (n R(w) - w R'(w)); for |z| > 1 no term exceeds sum_k |c_k|.
-    """
-    n = len(c) - 1
-    w = 1.0 / z
-    r = np.polyval(c, w)
-    dr = np.polyval(c[:-1] * np.arange(n, 0, -1), w)
-    return z * r / (n * r - w * dr)
-
-
 def _deflated(evaluate: Callable, m: int) -> Callable:
     """Evaluator of P(z) / z^m from an evaluator of P."""
 
@@ -195,9 +180,12 @@ def all_roots(
     roots (the triangle recursion is): no particle is frozen, every one
     moves until the step test passes, and conjugate candidates merge only
     within 1e-9.  The coefficients still give the initial guesses, the
-    root bound, the overflow probe and the residuals.  Exact zero roots
-    are deflated first, from the evaluator too.  Returns (roots, scaled
-    residuals, converged flag).
+    root bound, the overflow probe and the residuals.  A particle whose
+    Newton ratio is not finite (P overflowing, say), or that moves outside
+    twice the root bound, restarts at a fresh angle on the circle of the
+    largest initial guess, where the probe found P finite.  Exact zero
+    roots are deflated first, from the evaluator too.  Returns (roots,
+    scaled residuals, converged flag).
     """
     cs = [complex(c) for c in coeffs]
     if any(not math.isfinite(c.real) or not math.isfinite(c.imag) for c in cs):
@@ -228,20 +216,19 @@ def all_roots(
             return 8.0 * np.finfo(float).eps * np.polyval(abs_rev, np.abs(z)) if noisy else 0.0
 
         def newton_ratio(z):
-            # |P| grows like |z|^n: where it overflows, the ratio comes
-            # from the reversed polynomial.  Any ratio still not finite
-            # (P' vanishing, say) is NaN.
+            # A ratio that is not finite (P overflowing, P' vanishing) is
+            # NaN; the loop restarts its particle.
             with np.errstate(all="ignore"):
                 pz, dpz = evaluate(z)
                 newton = pz / dpz
-                far = ~np.isfinite(newton)
-                if np.any(far):
-                    newton[far] = _far_newton(c, z[far])
             return pz, np.where(np.isfinite(newton), newton, np.nan)
 
-        z = _initial_guesses(c)
         bound = _root_bound(c)
-        probe = float(np.polyval(abs_rev, float(np.max(np.abs(z)))))
+        z = _initial_guesses(c, bound)
+        # P is finite on the circle of the largest initial guess, or the
+        # probe fails; particles restart there.
+        restart = float(np.max(np.abs(z)))
+        probe = float(np.polyval(abs_rev, restart))
         if not math.isfinite(probe):
             raise DegreeOverflow(
                 "polynomial values overflow double range during iteration"
@@ -252,32 +239,25 @@ def all_roots(
             pz, newton = newton_ratio(z)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
-            absdiff = np.abs(diff)
-            np.fill_diagonal(absdiff, np.inf)
             inv = 1.0 / diff
             np.fill_diagonal(inv, 0.0)
             sums = inv.sum(axis=1)
             # Freeze a particle once |p(z)| is dominated by rounding
             # error: stepping it further only chases evaluation noise.
-            # Exception: of two particles crowding one root, the one with
-            # the larger value keeps moving so the ensemble repulsion can
-            # push it towards an unclaimed root.
-            partner = np.argmin(absdiff, axis=1)
-            crowded = np.min(absdiff, axis=1) < 1e-5 * (1.0 + np.abs(z))
-            junior = crowded & (np.abs(pz) >= np.abs(pz)[partner])
-            frozen = (np.abs(pz) <= noise(z)) & ~junior
-            denom = 1.0 - newton * sums
-            denom = np.where(denom == 0, 1e-300, denom)
-            step = np.where(frozen, 0.0, newton / denom)
+            frozen = np.abs(pz) <= noise(z)
+            with np.errstate(all="ignore"):
+                denom = 1.0 - newton * sums
+                denom = np.where(denom == 0, 1e-300, denom)
+                step = np.where(frozen, 0.0, newton / denom)
             z = z - step
-            # Particles flung outside the root bound, or to where P
-            # overflows, cannot be near any root; pull them back onto the
-            # bound circle at a fresh angle.
-            runaway = ~(np.abs(z) <= 2.0 * bound)
-            if np.any(runaway):
+            # The restart rule (see the docstring).  Each restarted
+            # particle gets its own angle, so NaN ones cannot coincide.
+            runaway = np.flatnonzero(~(np.abs(z) <= 2.0 * bound))
+            if runaway.size:
                 escape_rotation += 0.83
-                angles = np.angle(np.nan_to_num(z[runaway])) + escape_rotation
-                z[runaway] = bound * np.exp(1j * angles)
+                spread = 2.0 * np.pi * np.arange(runaway.size) / runaway.size
+                angles = np.angle(np.nan_to_num(z[runaway])) + escape_rotation + spread
+                z[runaway] = restart * np.exp(1j * angles)
                 continue
             if np.all(frozen | (np.abs(step) <= tol * (1.0 + np.abs(z)))):
                 converged = True
@@ -328,12 +308,6 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
     ring = Ring.parse("parabolic" if params is None or params.is_parabolic else params)
     engine = get_engine(ring)
     two = ring.coeff(Laurent2.const(2))
-    if s.q > DEGREE_GUARD:
-        warnings.warn(
-            f"degree {s.q} exceeds the double-precision comfort zone "
-            f"({DEGREE_GUARD}); residuals may degrade",
-            stacklevel=2,
-        )
 
     def shifted(z):
         p, dp = engine.evaluate(s, z)

@@ -12,7 +12,7 @@ import json
 from typing import Iterable, Optional
 
 from .pleating import RootSet
-from .rings import Laurent2, Poly
+from .rings import Laurent2, Poly, Ring
 from .slopes import Slope
 
 __all__ = [
@@ -44,20 +44,27 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _coeff_from_payload(entry, ring: str):
-    if ring == "generic":
+def _coeff_from_payload(entry, name: str):
+    if name == "generic":
         return Laurent2({(t["i"], t["j"]): int(t["c"]) for t in entry})
-    if ring.startswith("numeric"):
+    if name == "numeric":
         return complex(entry[0], entry[1])
     return entry
 
 
 def parse_polynomial(text: str) -> tuple[Optional[Slope], str, Poly]:
+    """Slope, ring label and polynomial.
+
+    The label is "homogeneous" (integer coefficients, as ``fareyslice
+    homog`` writes them) or anything ``Ring.parse`` accepts; any other
+    label raises ValueError.
+    """
     data = json.loads(text)
-    ring = data["ring"]
+    label = data["ring"]
+    name = label if label == "homogeneous" else Ring.parse(label).name
     slope = Slope.parse(data["slope"]) if data.get("slope") else None
-    coeffs = [_coeff_from_payload(e, ring) for e in data["coeffs"]]
-    return slope, ring, Poly(coeffs)
+    coeffs = [_coeff_from_payload(e, name) for e in data["coeffs"]]
+    return slope, label, Poly(coeffs)
 
 
 def roots_csv(root_sets: Iterable[RootSet]) -> str:

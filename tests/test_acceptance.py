@@ -280,13 +280,8 @@ def test_criterion_13_cloud_and_paths():
         ok = ok and all(
             any(abs(z.conjugate() - w) < 1e-8 for w in rs.roots) for z in rs.roots
         )
-    import warnings
-
     paths = pleating.irrational_cusp_path(GOLDEN_CF, 8)
-    with warnings.catch_warnings():
-        # depth 6 reaches denominator 99, past the documented degree guard
-        warnings.simplefilter("ignore", UserWarning)
-        paths += pleating.irrational_cusp_path(SQRT2_CF, 6)
+    paths += pleating.irrational_cusp_path(SQRT2_CF, 6)
     for rs in paths:
         ok = ok and len(rs.roots) == rs.slope.q and max(rs.residuals) < 1e-8
     svg_cloud = serialize.scatter_svg(

@@ -1,6 +1,8 @@
+import cmath
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from fareyslice import (
@@ -161,16 +163,23 @@ def test_cusp_candidates_forward_accurate_up_to_40():
 
 
 # 98/99: the first Aberth step flings a particle to |z| ~ 4e3, where P
-# overflows doubles; the particle must be pulled back, not spread NaN.
-# 127/128: P overflows even on the root-bound circle, so the Newton ratio
-# there must come from the reversed polynomial.
+# overflows doubles; the particle must restart, not spread NaN.
+# 127/128 (and, in the cone ring, 3/128 and 47/128): P overflows even on
+# the root-bound circle, so a particle must restart on the circle of the
+# largest initial guess, where P is finite.
 @pytest.mark.parametrize(
-    "s", [Slope(89, 144), Slope(98, 99), Slope(127, 128)], ids=str
+    "s, params",
+    [
+        pytest.param(Slope(89, 144), None, id="89/144"),
+        pytest.param(Slope(98, 99), None, id="98/99"),
+        pytest.param(Slope(127, 128), None, id="127/128"),
+        pytest.param(Slope(3, 128), GeneratorParams(3, 4), id="3/128-numeric(3,4)"),
+        pytest.param(Slope(47, 128), GeneratorParams(3, 4), id="47/128-numeric(3,4)"),
+    ],
 )
-def test_cusp_candidates_past_degree_guard(s):
-    with pytest.warns(UserWarning, match="comfort zone"):
-        rs = pleating.cusp_candidates(s)
-    assert_root_set_properties(rs, farey_polynomial(s, "parabolic").coeffs)
+def test_cusp_candidates_past_degree_guard(s, params):
+    rs = pleating.cusp_candidates(s, params)
+    assert_root_set_properties(rs, farey_polynomial(s, params or "parabolic").coeffs)
 
 
 def test_irrational_cusp_path_golden():
@@ -199,9 +208,10 @@ def test_extremal_root_heuristic():
     assert abs(pleating.extremal_root_heuristic(single) - 4) < 1e-12
 
 
-def test_degree_guard_warns():
-    with pytest.warns(UserWarning):
-        pleating.cusp_candidates(S("34/55") if False else Slope(55, 89))
+def test_cusp_candidates_does_not_warn_past_q_60():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pleating.cusp_candidates(Slope(55, 89))
 
 
 def test_dynsys_report():
@@ -226,7 +236,7 @@ def test_roots_warns_on_integer_input_past_double_range():
 
 
 def test_exact_coefficients_past_double_range_do_not_warn():
-    # 1/42 is the first slope with a coefficient past 2**53, below DEGREE_GUARD;
+    # 1/42 is the first slope with a coefficient past 2**53;
     # the roots come from the recursion's values, and the doubles only seed
     # and score the iteration, so nothing is lost.
     with warnings.catch_warnings():
@@ -248,6 +258,23 @@ def test_all_roots_with_an_evaluator(coeffs, evaluate, want):
     rs, res, ok = pleating.all_roots(coeffs, evaluate=evaluate)
     assert ok and max(res) < 1e-15
     assert sorted((round(z.real, 12), round(z.imag, 12)) for z in rs) == want
+
+
+def test_all_roots_restarts_particles_with_non_finite_ratios_apart():
+    # The first evaluation is NaN everywhere, so every particle restarts at
+    # once; each gets its own angle, or the next Aberth sums divide by zero.
+    calls = []
+
+    def evaluate(z):
+        calls.append(len(z))
+        if len(calls) == 1:
+            return np.full_like(z, np.nan), np.ones_like(z)
+        return z**3 - 8, 3 * z * z
+
+    rs, res, ok = pleating.all_roots([-8, 0, 0, 1], evaluate=evaluate)
+    assert ok and max(res) < 1e-15 and len(calls) > 1
+    want = [2 * cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
+    assert all(min(abs(z - w) for z in rs) < 1e-12 for w in want)
 
 
 def test_cusp_candidates_with_a_root_at_zero():

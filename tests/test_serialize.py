@@ -1,7 +1,10 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareyslice import GeneratorParams, enumerate_farey, farey_polynomial
+from fareyslice import homogeneous_farey_polynomial
 from fareyslice import pleating, serialize
+from fareyslice.cli import main
 
 
 def assert_round_trip(s, ring):
@@ -36,6 +39,34 @@ def test_generic_polynomial_roundtrip(s):
 @given(slopes_to_40)
 def test_numeric_polynomial_roundtrip(s):
     assert_round_trip(s, GeneratorParams(3, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(slopes_to_40)
+def test_homogeneous_polynomial_roundtrip(s):
+    # the payload `fareyslice homog` writes parses and is emitted again unchanged
+    poly = homogeneous_farey_polynomial(s)
+    text = serialize.dumps_canonical(serialize.polynomial_payload(s, "homogeneous", poly))
+    slope, label, back = serialize.parse_polynomial(text)
+    assert (slope, label, back) == (s, "homogeneous", poly)
+    again = serialize.dumps_canonical(serialize.polynomial_payload(slope, label, back))
+    assert again == text
+
+
+def test_homog_command_output_parses(capsys):
+    assert main(["homog", "--slope", "2/5"]) == 0
+    text = capsys.readouterr().out.strip()
+    slope, label, poly = serialize.parse_polynomial(text)
+    assert (str(slope), label) == ("2/5", "homogeneous")
+    assert poly == homogeneous_farey_polynomial(slope)
+    assert serialize.dumps_canonical(serialize.polynomial_payload(slope, label, poly)) == text
+
+
+@pytest.mark.parametrize("label", ["bogus", "Parabolic", "numeric(x)"])
+def test_parse_polynomial_rejects_an_unknown_ring(label):
+    text = serialize.dumps_canonical({"slope": "1/2", "ring": label, "coeffs": [1, 0, 1]})
+    with pytest.raises(ValueError, match="unknown ring"):
+        serialize.parse_polynomial(text)
 
 
 def test_roots_csv():
