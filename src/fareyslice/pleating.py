@@ -5,9 +5,10 @@ iteration over complex doubles (Aberth 1973, Ehrlich 1967).  For trace
 polynomials the iteration evaluates P + 2 and P' by the triangle
 recursion on arrays of points, which keeps roots accurate to double
 resolution where Horner's rule on the expanded coefficients is
-noise-bound; the coefficients only place the initial guesses, bound the
-iteration and score it; ``all_roots`` states the loop's one restart
-rule.  Reported residuals are backward-error scaled,
+noise-bound.  The iteration starts from the companion-matrix eigenvalues
+of the double coefficients, which it only polishes; the coefficients
+also bound the iteration and score it; ``all_roots`` states the loop's
+one restart rule.  Reported residuals are backward-error scaled,
 |P(z)| / sum_k |c_k| |z|^k: an absolute residual is meaningless for these
 polynomials, whose terms reach 1e20+ at the outermost roots while
 cancelling to machine precision.
@@ -62,36 +63,31 @@ class RootSet:
 def _symmetrize_conjugates(z: np.ndarray, tol: float) -> np.ndarray:
     """Pair roots of a real polynomial into exact conjugate pairs.
 
-    Near-real roots are snapped onto the axis; the rest are greedily
-    matched with their closest conjugate partner and averaged, which only
-    moves each root by about its own error.  ``tol`` must stay below the
-    closest genuine root separation or distinct roots would be merged, so
-    accurately evaluated inputs use a much tighter value than noisy ones.
+    Near-real roots are snapped onto the axis.  Each upper root is then
+    matched with the lower root nearest its conjugate, and a pair that is
+    each other's nearest and within ``tol`` (relative) is averaged, which
+    only moves each root by about its own error; other roots are left
+    alone.  ``tol`` must stay below the closest genuine root separation or
+    distinct roots would be merged, so accurately evaluated inputs use a
+    much tighter value than noisy ones.
     """
-    out = list(z)
-    used = [False] * len(out)
-    for i, zi in enumerate(out):
-        if used[i]:
-            continue
-        if abs(zi.imag) <= tol * (1.0 + abs(zi)):
-            out[i] = complex(zi.real, 0.0)
-            used[i] = True
-            continue
-        best, best_dist = -1, float("inf")
-        for j in range(i + 1, len(out)):
-            if used[j]:
-                continue
-            dist = abs(out[j] - zi.conjugate())
-            if dist < best_dist:
-                best, best_dist = j, dist
-        if best >= 0 and best_dist <= tol * (1.0 + abs(zi)):
-            avg = (zi + out[best].conjugate()) / 2
-            out[i] = avg
-            out[best] = avg.conjugate()
-            used[i] = used[best] = True
-        else:
-            used[i] = True
-    return np.array(out, dtype=complex)
+    z = z.copy()
+    near_real = np.abs(z.imag) <= tol * (1.0 + np.abs(z))
+    z[near_real] = z[near_real].real
+    upper = np.flatnonzero(~near_real & (z.imag > 0))
+    lower = np.flatnonzero(~near_real & (z.imag < 0))
+    if upper.size and lower.size:
+        dist = np.abs(z[upper, None].conjugate() - z[None, lower])
+        nearest = dist.argmin(axis=1)
+        rows = np.arange(upper.size)
+        paired = (dist.argmin(axis=0)[nearest] == rows) & (
+            dist[rows, nearest] <= tol * (1.0 + np.abs(z[upper]))
+        )
+        up, low = upper[paired], lower[nearest[paired]]
+        avg = (z[up] + z[low].conjugate()) / 2
+        z[up] = avg
+        z[low] = avg.conjugate()
+    return z
 
 
 def _scaled_residuals(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -102,35 +98,26 @@ def _scaled_residuals(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.abs(vals) / scale
 
 
-def _initial_guesses(c: np.ndarray, bound: float) -> np.ndarray:
-    """Starting points on annuli from the upper hull of (i, log|c_i|).
+def _initial_guesses(c: np.ndarray) -> np.ndarray:
+    """Companion-matrix eigenvalues of the double coefficients ``c``.
 
-    Each hull segment contributes its Newton-polygon radius and as many
-    equally spaced angles as its width, its radius capped at ``bound``;
-    this keeps every particle within a constant factor of some root's
-    modulus, where a single circle can fling particles toward infinity
-    when the moduli spread widely.
+    They are backward-stable roots of ``c`` (Edelman & Murakami 1995), so
+    an accurate evaluator only has to polish them.  Each eigenvalue r_k is
+    nudged by 1e-6 (1 + |r_k|) at angle 2 pi k / n + 0.4: Aberth steps
+    keep conjugate symmetry, so a particle starting on the real axis would
+    stay there, and a multiple root's equal eigenvalues must not start on
+    one point, where the Aberth sums divide by zero.
     """
-    logs = [
-        (i, math.log(abs(ci))) for i, ci in enumerate(c) if ci != 0
-    ]
-    hull = []
-    for x, y in logs:
-        while len(hull) >= 2:
-            (xa, ya), (xb, yb) = hull[-2], hull[-1]
-            if (yb - ya) * (x - xa) <= (y - ya) * (xb - xa):
-                hull.pop()
-            else:
-                break
-        hull.append((x, y))
-    guesses = []
-    for seg, ((x1, y1), (x2, y2)) in enumerate(zip(hull, hull[1:])):
-        radius = min(math.exp((y1 - y2) / (x2 - x1)), bound)
-        count = x2 - x1
-        for j in range(count):
-            theta = 2 * math.pi * (j + 0.25) / count + 0.4 + 0.7 * seg
-            guesses.append(radius * complex(math.cos(theta), math.sin(theta)))
-    return np.array(guesses, dtype=complex)
+    with np.errstate(all="ignore"):
+        try:
+            eig = np.roots((c.real if not np.any(c.imag) else c)[::-1])
+        except np.linalg.LinAlgError:  # an entry c_k / c_n overflowed
+            raise DegreeOverflow("companion matrix exceeds double range") from None
+        angles = 2 * np.pi * np.arange(len(eig)) / len(eig) + 0.4
+        z = eig + 1e-6 * (1.0 + np.abs(eig)) * np.exp(1j * angles)
+    if not np.all(np.isfinite(z)):
+        raise DegreeOverflow("initial guesses exceed double range")
+    return z
 
 
 def _root_bound(c: np.ndarray) -> float:
@@ -179,8 +166,9 @@ def all_roots(
     given ``evaluate`` must be accurate to double resolution near the
     roots (the triangle recursion is): no particle is frozen, every one
     moves until the step test passes, and conjugate candidates merge only
-    within 1e-9.  The coefficients still give the initial guesses, the
-    root bound, the overflow probe and the residuals.  A particle whose
+    within 1e-9.  The coefficients still give the initial guesses (their
+    companion-matrix eigenvalues, see ``_initial_guesses``), the root
+    bound, the overflow probe and the residuals.  A particle whose
     Newton ratio is not finite (P overflowing, say), or that moves outside
     twice the root bound, restarts at a fresh angle on the circle of the
     largest initial guess, where the probe found P finite.  Exact zero
@@ -224,7 +212,7 @@ def all_roots(
             return pz, np.where(np.isfinite(newton), newton, np.nan)
 
         bound = _root_bound(c)
-        z = _initial_guesses(c, bound)
+        z = _initial_guesses(c)
         # P is finite on the circle of the largest initial guess, or the
         # probe fails; particles restart there.
         restart = float(np.max(np.abs(z)))

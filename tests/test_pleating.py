@@ -78,14 +78,87 @@ def test_roots_with_zero_roots_deflated():
 def test_roots_rejects_overflowing_coefficients():
     with pytest.raises(DegreeOverflow):
         pleating.all_roots([1.0, float("inf")])
-
-
-def test_roots_rejects_overflowing_evaluation():
-    # finite coefficients whose evaluation overflows doubles mid-iteration
+    # finite coefficients whose companion matrix (root -1e616) overflows
     with pytest.raises(DegreeOverflow):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pleating.cusp_candidates(Slope(169, 239))
+            pleating.all_roots([1e308, 1e-308])
+
+
+def test_roots_rejects_overflowing_evaluation():
+    # finite coefficients whose evaluation overflows doubles on the
+    # restart circle (the largest initial guess)
+    with pytest.raises(DegreeOverflow):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pleating.cusp_candidates(Slope(1, 256))
+
+
+# Past q = 128: the restart circle lies at the largest companion
+# eigenvalue, where P is still finite for these slopes.
+@pytest.mark.parametrize("s", [Slope(1, 129), Slope(169, 239)], ids=["1/129", "169/239"])
+def test_cusp_candidates_past_q_128(s):
+    rs = pleating.cusp_candidates(s)
+    assert_root_set_properties(rs, farey_polynomial(s, "parabolic").coeffs)
+
+
+def test_roots_of_a_double_root():
+    # (z - 2)^2: the two equal eigenvalues start apart, so the Aberth sums
+    # never divide by zero (RuntimeWarnings are errors under pytest).
+    rs = pleating.roots(Poly([4, -4, 1]))
+    assert len(rs.roots) == 2 and all(abs(z - 2) < 1e-6 for z in rs.roots)
+    found, _, _ = pleating.all_roots(
+        [4, -4, 1], evaluate=lambda z: ((z - 2) ** 2, 2 * (z - 2))
+    )
+    assert len(found) == 2 and all(abs(z - 2) < 1e-6 for z in found)
+
+
+def test_symmetrize_conjugates():
+    near_real = 3 + 1e-12j
+    pair = (1 + 2.000000000001j, 1.000000000001 - 2j)
+    unmatched = 5 + 1j
+    far_pair = (-2 + 1j, -2.001 - 1j)
+    z = np.array([near_real, *pair, unmatched, *far_pair])
+    out = pleating._symmetrize_conjugates(z, tol=1e-9)
+    assert out[0] == 3 and out[0].imag == 0
+    avg = (pair[0] + pair[1].conjugate()) / 2
+    assert out[1] == avg and out[2] == avg.conjugate()
+    assert list(out[3:]) == list(z[3:])
+
+
+def _symmetrize_conjugates_loop(z, tol):
+    # Reference: the greedy pairing loop that the vectorised version
+    # replaced; each unpaired root takes its nearest later partner.
+    out, used = list(z), [False] * len(z)
+    for i, zi in enumerate(out):
+        if used[i]:
+            continue
+        used[i] = True
+        if abs(zi.imag) <= tol * (1.0 + abs(zi)):
+            out[i] = complex(zi.real, 0.0)
+            continue
+        rest = [j for j in range(i + 1, len(out)) if not used[j]]
+        best = min(rest, key=lambda j: abs(out[j] - zi.conjugate()), default=None)
+        if best is not None and abs(out[best] - zi.conjugate()) <= tol * (1.0 + abs(zi)):
+            avg = (zi + out[best].conjugate()) / 2
+            out[i], out[best] = avg, avg.conjugate()
+            used[best] = True
+    return np.array(out, dtype=complex)
+
+
+def test_symmetrize_conjugates_matches_the_greedy_loop():
+    rng = np.random.default_rng(7)
+    centres = rng.uniform(-4, 4, 30) + 1j * rng.uniform(0.1, 4, 30)
+    noise = lambda n: 1e-11 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    z = np.concatenate([
+        centres + noise(30),
+        centres.conjugate() + noise(30),
+        rng.uniform(-4, 4, 5) + 1e-12j,
+        rng.uniform(-4, 4, 3) + 1j * rng.uniform(0.1, 4, 3),
+    ])
+    z = z[rng.permutation(len(z))]
+    want = _symmetrize_conjugates_loop(z, 1e-9)
+    assert list(pleating._symmetrize_conjugates(z, 1e-9)) == list(want)
 
 
 def test_cusp_candidates_examples():
