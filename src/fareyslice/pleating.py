@@ -6,12 +6,13 @@ polynomials the iteration evaluates P + 2 and P' by the triangle
 recursion on arrays of points, which keeps roots accurate to double
 resolution where Horner's rule on the expanded coefficients is
 noise-bound.  The iteration starts from the companion-matrix eigenvalues
-of the double coefficients, which it only polishes; the coefficients
-also bound the iteration and score it; ``all_roots`` states the loop's
-one restart rule.  Reported residuals are backward-error scaled,
-|P(z)| / sum_k |c_k| |z|^k: an absolute residual is meaningless for these
-polynomials, whose terms reach 1e20+ at the outermost roots while
-cancelling to machine precision.
+of the exact coefficients, Taylor-shifted to the root centroid, which it
+only polishes (two or three evaluations per root set for q <= 40); the
+double coefficients also bound the iteration and score it; ``all_roots``
+states the loop's one restart rule.  Reported residuals are
+backward-error scaled, |P(z)| / sum_k |c_k| |z|^k: an absolute residual
+is meaningless for these polynomials, whose terms reach 1e20+ at the
+outermost roots while cancelling to machine precision.
 """
 
 from __future__ import annotations
@@ -98,20 +99,59 @@ def _scaled_residuals(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.abs(vals) / scale
 
 
-def _initial_guesses(c: np.ndarray) -> np.ndarray:
-    """Companion-matrix eigenvalues of the double coefficients ``c``.
+def _taylor_shift(c: list, h) -> list:
+    """Ascending coefficients of P(w + h) from those of P(z), by repeated
+    synthetic division (n (n + 1) / 2 multiply-adds); exact on ints."""
+    b = list(c)
+    n = len(b) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            b[k] += h * b[k + 1]
+    return b
 
-    They are backward-stable roots of ``c`` (Edelman & Murakami 1995), so
-    an accurate evaluator only has to polish them.  Each eigenvalue r_k is
-    nudged by 1e-6 (1 + |r_k|) at angle 2 pi k / n + 0.4: Aberth steps
-    keep conjugate symmetry, so a particle starting on the real axis would
-    stay there, and a multiple root's equal eigenvalues must not start on
-    one point, where the Aberth sums divide by zero.
+
+def _initial_guesses(coeffs: list) -> np.ndarray:
+    """Companion-matrix eigenvalues of the coefficients, about their centroid.
+
+    The variable first moves to w = z - h, where h = a / 4 is the quarter
+    integer nearest the real part of the root centroid -c_{n-1} / (n c_n).
+    About z = 0 the coefficients of a fan's P + 2 span 1e15 while its roots
+    lie in [0, 4], and for q <= 40 the eigenvalues come out up to 1.4 from
+    the nearest root; about the centroid, at most 3e-4.  Int coefficients
+    shift exactly: c_k 4^(n-k) are the coefficients of 4^n P(x / 4), which
+    shift by the integer a, and each b_k / 4^(n-k) rounds once to a double.
+    Other coefficients shift as complex doubles by h.
+
+    The eigenvalues are backward-stable roots of the shifted coefficients
+    (Edelman & Murakami 1995), so an accurate evaluator only has to polish
+    them.  Each eigenvalue r_k (shifted back by h) is nudged by
+    1e-6 (1 + |r_k|) at angle 2 pi k / n + 0.4: Aberth steps keep conjugate
+    symmetry, so a particle starting on the real axis would stay there, and
+    a multiple root's equal eigenvalues must not start on one point, where
+    the Aberth sums divide by zero.
     """
+    n = len(coeffs) - 1
+    if all(isinstance(c, int) for c in coeffs):
+        num, den = -4 * coeffs[-2], n * coeffs[-1]
+        if den < 0:
+            num, den = -num, -den
+        a = (2 * num + den) // (2 * den)  # num / den rounded, in ints
+        scales = [4 ** (n - k) for k in range(n + 1)]
+        shifted = _taylor_shift([c * s for c, s in zip(coeffs, scales)], a)
+        try:
+            shifted = [b / s for b, s in zip(shifted, scales)]
+        except OverflowError:
+            raise DegreeOverflow("shifted coefficients exceed double range") from None
+    else:
+        cs = [complex(c) for c in coeffs]
+        a4 = 4 * (-cs[-2] / (n * cs[-1])).real
+        a = round(a4) if math.isfinite(a4) else 0
+        shifted = _taylor_shift(cs, a / 4)
+    d = np.array(shifted, dtype=complex)
     with np.errstate(all="ignore"):
         try:
-            eig = np.roots((c.real if not np.any(c.imag) else c)[::-1])
-        except np.linalg.LinAlgError:  # an entry c_k / c_n overflowed
+            eig = np.roots((d.real if not np.any(d.imag) else d)[::-1]) + a / 4
+        except np.linalg.LinAlgError:  # an entry d_k / d_n overflowed
             raise DegreeOverflow("companion matrix exceeds double range") from None
         angles = 2 * np.pi * np.arange(len(eig)) / len(eig) + 0.4
         z = eig + 1e-6 * (1.0 + np.abs(eig)) * np.exp(1j * angles)
@@ -159,23 +199,29 @@ def all_roots(
 ) -> tuple[list[complex], list[float], bool]:
     """Aberth-Ehrlich iteration for every root of a dense polynomial.
 
-    ``coeffs`` ascending; the leading coefficient must be nonzero.
-    ``evaluate(z)`` returns the values and derivatives at an array of
-    points.  The default, double Horner on ``coeffs``, is noise-bound: a
+    ``coeffs`` ascending, as Python ints (kept exact for the initial
+    guesses) or anything ``complex`` accepts; the leading coefficient must
+    be nonzero.  ``evaluate(z)`` returns the values and derivatives at an
+    array of points.  The default, double Horner on ``coeffs``, is noise-bound: a
     particle stops moving once its value is within rounding error.  A
     given ``evaluate`` must be accurate to double resolution near the
     roots (the triangle recursion is): no particle is frozen, every one
     moves until the step test passes, and conjugate candidates merge only
     within 1e-9.  The coefficients still give the initial guesses (their
-    companion-matrix eigenvalues, see ``_initial_guesses``), the root
-    bound, the overflow probe and the residuals.  A particle whose
-    Newton ratio is not finite (P overflowing, say), or that moves outside
-    twice the root bound, restarts at a fresh angle on the circle of the
-    largest initial guess, where the probe found P finite.  Exact zero
+    centroid-shifted companion-matrix eigenvalues, see
+    ``_initial_guesses``) and, as doubles, the root bound, the overflow
+    probe and the residuals.  A particle whose Newton ratio is not finite
+    (P overflowing, say), or that moves outside twice the root bound,
+    restarts at a fresh angle on the circle of the largest initial guess,
+    where the probe found P finite.  Exact zero
     roots are deflated first, from the evaluator too.  Returns (roots,
     scaled residuals, converged flag).
     """
-    cs = [complex(c) for c in coeffs]
+    exact = list(coeffs)
+    try:
+        cs = [complex(c) for c in exact]
+    except OverflowError:  # an int past double range
+        raise DegreeOverflow("coefficients exceed double range") from None
     if any(not math.isfinite(c.real) or not math.isfinite(c.imag) for c in cs):
         raise DegreeOverflow("coefficients exceed double range")
     while cs and cs[-1] == 0:
@@ -186,6 +232,7 @@ def all_roots(
     while cs[0] == 0:
         zero_roots.append(0j)
         cs = cs[1:]
+    exact = exact[len(zero_roots):len(zero_roots) + len(cs)]
     deg = len(cs) - 1
     if deg == 0:
         roots_arr = np.array([], dtype=complex)
@@ -212,11 +259,12 @@ def all_roots(
             return pz, np.where(np.isfinite(newton), newton, np.nan)
 
         bound = _root_bound(c)
-        z = _initial_guesses(c)
+        z = _initial_guesses(exact)
         # P is finite on the circle of the largest initial guess, or the
         # probe fails; particles restart there.
         restart = float(np.max(np.abs(z)))
-        probe = float(np.polyval(abs_rev, restart))
+        with np.errstate(over="ignore"):
+            probe = float(np.polyval(abs_rev, restart))
         if not math.isfinite(probe):
             raise DegreeOverflow(
                 "polynomial values overflow double range during iteration"
@@ -279,8 +327,13 @@ def all_roots(
 
 
 def roots(p: Poly, slope: Optional[Slope] = None, ring: str = "parabolic") -> RootSet:
-    """Root set of an arbitrary polynomial, by double Horner evaluation."""
-    rs, res, ok = all_roots(to_complex_coeffs(p))
+    """Root set of an arbitrary polynomial, by double Horner evaluation.
+
+    The initial guesses come from the exact coefficients; Horner's rule
+    runs on doubles, so it warns when an integer past 2**53 loses bits.
+    """
+    to_complex_coeffs(p)
+    rs, res, ok = all_roots(p.coeffs)
     return RootSet(slope=slope, ring=ring, roots=rs, residuals=res, converged=ok)
 
 
@@ -303,7 +356,7 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
 
     # The coefficients only seed, bound and score the iteration, so exact
     # integers past 2**53 convert to doubles without a lossy-input warning.
-    coeffs = [complex(c) for c in (engine.polynomial(s) + Poly([two])).coeffs]
+    coeffs = (engine.polynomial(s) + Poly([two])).coeffs
     rs, res, ok = all_roots(coeffs, evaluate=shifted)
     return RootSet(slope=s, ring=ring.label, roots=rs, residuals=res, converged=ok)
 

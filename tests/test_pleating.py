@@ -13,7 +13,7 @@ from fareyslice import (
     enumerate_farey,
     farey_polynomial,
 )
-from fareyslice import pleating
+from fareyslice import pleating, recursion
 from fareyslice.errors import DegreeOverflow
 
 # Exact evaluation oracle for forward accuracy.  Doubles are dyadic
@@ -87,16 +87,23 @@ def test_roots_rejects_overflowing_coefficients():
 
 def test_roots_rejects_overflowing_evaluation():
     # finite coefficients whose evaluation overflows doubles on the
-    # restart circle (the largest initial guess)
-    with pytest.raises(DegreeOverflow):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pleating.cusp_candidates(Slope(1, 256))
+    # restart circle (the largest initial guess); the probe itself must
+    # not warn (RuntimeWarnings are errors under pytest)
+    for s in (Slope(1, 400), Slope(610, 987)):
+        with pytest.raises(DegreeOverflow):
+            pleating.cusp_candidates(s)
 
 
 # Past q = 128: the restart circle lies at the largest companion
-# eigenvalue, where P is still finite for these slopes.
-@pytest.mark.parametrize("s", [Slope(1, 129), Slope(169, 239)], ids=["1/129", "169/239"])
+# eigenvalue, where P is still finite for these slopes.  1/256 and
+# 233/377 need the centroid-shifted guesses: unshifted, the largest guess
+# lay at |z| = 34 and 10, far outside the roots (|z| <= 4), and P
+# overflowed there.
+@pytest.mark.parametrize(
+    "s",
+    [Slope(1, 129), Slope(169, 239), Slope(1, 256), Slope(233, 377)],
+    ids=["1/129", "169/239", "1/256", "233/377"],
+)
 def test_cusp_candidates_past_q_128(s):
     rs = pleating.cusp_candidates(s)
     assert_root_set_properties(rs, farey_polynomial(s, "parabolic").coeffs)
@@ -111,6 +118,41 @@ def test_roots_of_a_double_root():
         [4, -4, 1], evaluate=lambda z: ((z - 2) ** 2, 2 * (z - 2))
     )
     assert len(found) == 2 and all(abs(z - 2) < 1e-6 for z in found)
+
+
+def test_taylor_shift_is_exact_on_ints():
+    # (z - 3)^3 (z + 1) about h = 3: w^3 (w + 4)
+    c = (Poly([-3, 1]) * Poly([-3, 1]) * Poly([-3, 1]) * Poly([1, 1])).coeffs
+    assert pleating._taylor_shift(c, 3) == [0, 0, 0, 4, 1]
+    assert pleating._taylor_shift([5, -2, 7], 0) == [5, -2, 7]
+
+
+def test_roots_horner_path_finds_distinct_roots():
+    # 1/24: about z = 0 the companion guesses of P + 2 were wrong enough
+    # that Horner polishing sent two of them to one root.
+    s = S("1/24")
+    horner = np.array(pleating.roots(farey_polynomial(s) + Poly([2]), s).roots)
+    accurate = np.array(pleating.cusp_candidates(s).roots)
+    nearest = np.abs(horner[:, None] - accurate[None, :]).argmin(axis=1)
+    assert len(set(nearest)) == len(horner) == s.q
+
+
+def test_cusp_candidates_iteration_budget(monkeypatch):
+    # Centroid-shifted guesses are close enough that every parabolic set
+    # with q <= 30 passes the step test within 3 evaluator calls, fans
+    # 1/q and (q - 1)/q included.
+    evaluate = recursion.FareyPolynomialEngine.evaluate
+    calls = []
+
+    def counted(self, s, z):
+        calls.append(s)
+        return evaluate(self, s, z)
+
+    monkeypatch.setattr(recursion.FareyPolynomialEngine, "evaluate", counted)
+    for s in enumerate_farey(30):
+        calls.clear()
+        rs = pleating.cusp_candidates(s)
+        assert rs.converged and len(calls) <= 3, (s, len(calls))
 
 
 def test_symmetrize_conjugates():
