@@ -6,9 +6,10 @@ polynomials the iteration evaluates P + 2 and P' by the triangle
 recursion on arrays of points, which keeps roots accurate to double
 resolution where Horner's rule on the expanded coefficients is
 noise-bound.  The iteration starts from the companion-matrix eigenvalues
-of the exact coefficients, Taylor-shifted to the root centroid, which it
-only polishes (two or three evaluations per root set for q <= 40); the
-double coefficients also bound the iteration and score it; ``all_roots``
+of the coefficients (exact integers are Taylor-shifted to the root
+centroid first), which it only polishes (two or three evaluations per
+parabolic root set for q <= 40); the double coefficients also bound the
+iteration and score it; ``all_roots``
 states the loop's one restart rule.  Reported residuals are
 backward-error scaled, |P(z)| / sum_k |c_k| |z|^k: an absolute residual
 is meaningless for these polynomials, whose terms reach 1e20+ at the
@@ -111,16 +112,17 @@ def _taylor_shift(c: list, h) -> list:
 
 
 def _initial_guesses(coeffs: list) -> np.ndarray:
-    """Companion-matrix eigenvalues of the coefficients, about their centroid.
+    """Companion-matrix eigenvalues of the coefficients.
 
-    The variable first moves to w = z - h, where h = a / 4 is the quarter
-    integer nearest the real part of the root centroid -c_{n-1} / (n c_n).
-    About z = 0 the coefficients of a fan's P + 2 span 1e15 while its roots
-    lie in [0, 4], and for q <= 40 the eigenvalues come out up to 1.4 from
-    the nearest root; about the centroid, at most 3e-4.  Int coefficients
-    shift exactly: c_k 4^(n-k) are the coefficients of 4^n P(x / 4), which
-    shift by the integer a, and each b_k / 4^(n-k) rounds once to a double.
-    Other coefficients shift as complex doubles by h.
+    Int coefficients are first moved to w = z - h, where h = a / 4 is the
+    quarter integer nearest the root centroid -c_{n-1} / (n c_n).  About
+    z = 0 the coefficients of a fan's P + 2 span 1e15 while its roots lie
+    in [0, 4], and for q <= 40 the eigenvalues come out up to 1.4 from the
+    nearest root; about the centroid, at most 3e-4.  The shift is exact:
+    c_k 4^(n-k) are the coefficients of 4^n P(x / 4), which shift by the
+    integer a, and each b_k / 4^(n-k) rounds once to a double.  Other
+    coefficients are taken as complex doubles about z = 0: rounding has
+    already lost what a shift in doubles would need.
 
     The eigenvalues are backward-stable roots of the shifted coefficients
     (Edelman & Murakami 1995), so an accurate evaluator only has to polish
@@ -143,10 +145,7 @@ def _initial_guesses(coeffs: list) -> np.ndarray:
         except OverflowError:
             raise DegreeOverflow("shifted coefficients exceed double range") from None
     else:
-        cs = [complex(c) for c in coeffs]
-        a4 = 4 * (-cs[-2] / (n * cs[-1])).real
-        a = round(a4) if math.isfinite(a4) else 0
-        shifted = _taylor_shift(cs, a / 4)
+        a, shifted = 0, [complex(c) for c in coeffs]
     d = np.array(shifted, dtype=complex)
     with np.errstate(all="ignore"):
         try:
@@ -208,7 +207,7 @@ def all_roots(
     roots (the triangle recursion is): no particle is frozen, every one
     moves until the step test passes, and conjugate candidates merge only
     within 1e-9.  The coefficients still give the initial guesses (their
-    centroid-shifted companion-matrix eigenvalues, see
+    companion-matrix eigenvalues, about the root centroid for ints, see
     ``_initial_guesses``) and, as doubles, the root bound, the overflow
     probe and the residuals.  A particle whose Newton ratio is not finite
     (P overflowing, say), or that moves outside twice the root bound,

@@ -29,6 +29,7 @@ engine per ring and only ever observe completed entries.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable
 
@@ -72,21 +73,24 @@ def _seeds(ring: Ring) -> dict[Slope, Poly]:
     return {s: Poly([ring.coeff(c) for c in p.coeffs]) for s, p in _GENERIC_SEEDS.items()}
 
 
+@functools.cache
 def farey_triangle(t: Slope) -> tuple[Slope, Slope, Slope]:
-    """(a, b, d): the parents of ``t`` and their difference vertex a (-) b."""
+    """(a, b, d): the parents of ``t`` and their difference vertex a (-) b.
+
+    Cached: every descent through ``t`` (each ring's polynomials, each
+    evaluation plan) needs the same triangle.
+    """
     a, b = parents(t)
     return a, b, ominus(a, b)
 
 
-def descend(
-    cache: dict, s: Slope, step: Callable, triangle: Callable = farey_triangle
-) -> object:
+def descend(cache: dict, s: Slope, step: Callable) -> object:
     """The value at ``s``, filling ``cache`` down the Farey graph.
 
     ``step(t, a, b, d)`` returns the value at a new slope t from its
     parents a, b and the difference vertex d = a (-) b, all of them
-    already in ``cache``; it runs once per slope added.  ``triangle(t)``
-    gives (a, b, d).  Package-internal, so not exported.
+    already in ``cache``; it runs once per slope added.  Package-internal,
+    so not exported.
     """
     if s in cache:
         return cache[s]
@@ -98,7 +102,7 @@ def descend(
         if t in cache:
             stack.pop()
             continue
-        a, b, d = triangle(t)
+        a, b, d = farey_triangle(t)
         missing = [u for u in (a, b, d) if u not in cache]
         if missing:
             stack.extend(missing)
@@ -117,7 +121,6 @@ class FareyPolynomialEngine:
         self._scalar = parsed.name != "generic"
         self._cache: dict[Slope, Poly] = _seeds(parsed)
         self._constants = recursion_constants(ring)
-        self._triangles: dict[Slope, tuple[Slope, Slope, Slope]] = {}
         self._last_plan: tuple = (None, [], 0)
         self._lock = threading.Lock()
 
@@ -129,23 +132,15 @@ class FareyPolynomialEngine:
         cache = self._cache
         return self._constants[t.q % 2] - cache[a] * cache[b] - cache[d]
 
-    def _triangle(self, t: Slope) -> tuple[Slope, Slope, Slope]:
-        # Stored per slope, so each slope's parents are found only once
-        # however many plans pass through it.
-        tri = self._triangles.get(t)
-        if tri is None:
-            tri = self._triangles[t] = farey_triangle(t)
-        return tri
-
     def _plan(self, s: Slope) -> tuple[Slope, list[tuple[int, int, int, int]], int]:
         """(s, the triangle steps from the seeds to ``s``, the number of ``s``).
 
         Slopes are numbered in visiting order, seeds first; a step t from
         (a, b, d) is (t.q % 2, number of a, number of b, number of d).  The
-        walk reads the engine's stored triangles, one per slope ever
-        planned, so a new plan costs dict lookups, not a fresh Farey
-        descent.  A root search evaluates one slope a few times in a row,
-        so the last plan is kept too.
+        walk reads the cached ``farey_triangle`` of each slope, so a new
+        plan costs dict lookups, not a fresh parent search per ancestor.
+        A root search evaluates one slope a few times in a row, so the last
+        plan is kept too.
         """
         plan = self._last_plan
         if plan[0] != s:
@@ -156,8 +151,7 @@ class FareyPolynomialEngine:
                 index[t] = len(index)
                 steps.append((t.q % 2, index[a], index[b], index[d]))
 
-            with self._lock:
-                descend(dict.fromkeys(_GENERIC_SEEDS), s, record, self._triangle)
+            descend(dict.fromkeys(_GENERIC_SEEDS), s, record)
             plan = self._last_plan = (s, steps, index[s])
         return plan
 

@@ -221,24 +221,6 @@ def test_evaluate_matches_polynomial_without_products(ring):
             assert np.all(np.abs(got - want) <= 1e-12 * scale), s
 
 
-def test_plans_from_stored_triangles_match_a_fresh_descent():
-    # Plans are walked over the engine's stored triangles; whatever order
-    # the slopes come in, each must equal the plan of a fresh descent.
-    engine = FareyPolynomialEngine("parabolic")
-    slopes = enumerate_farey(24)
-    np.random.default_rng(3).shuffle(slopes)
-    for s in slopes:
-        index = {u: i for i, u in enumerate((ZERO, ONE, INFINITY))}
-        steps = []
-
-        def record(t, a, b, d):
-            index[t] = len(index)
-            steps.append((t.q % 2, index[a], index[b], index[d]))
-
-        recursion.descend(dict.fromkeys((ZERO, ONE, INFINITY)), s, record)
-        assert engine._plan(s) == (s, steps, index[s]), s
-
-
 def test_evaluate_rejects_the_generic_ring():
     with pytest.raises(ValueError, match="scalar"):
         recursion.get_engine("generic").evaluate(Slope(1, 2), np.array([1j]))
