@@ -2,20 +2,45 @@
 
 This module never touches the triangle recursion: it computes the trace
 of the word matrix directly from the generator matrices, so it serves as
-an independent oracle for everything the recursion engine produces.
+an independent oracle for everything the recursion engine produces.  It
+shares no polynomial multiplication with the recursion either: the
+generic ring multiplies packed integers, not ``Poly`` values.
 
 The generator matrices are upper/lower triangular with unit determinant;
 their entries are polynomials in the trace variable whose coefficients
 live in the chosen ring: exact bivariate Laurent ("generic"), plain
 integers ("parabolic"), or complex doubles (numeric cone parameters).
+
+The parabolic and numeric rings multiply ``Mat2`` values, 8 ``Poly``
+products per letter.  The generic ring uses Kronecker substitution
+(Schoenhage 1982; Harvey 2009).  Scaling each letter by its parameter
+(alpha X, beta Y) and conjugating by diag(1, alpha), which keeps the
+trace, turns every generator into a matrix of +-1 monomials in
+A = alpha^2, B = beta^2 and T = alpha beta z:
+
+    X -> [[A, 1], [0, 1]]    x -> [[1, -1], [0, A]]
+    Y -> [[B, 0], [T, 1]]    y -> [[1, 0], [-T, B]]
+
+With T = 2^w, B = 2^(w (n_y + 1)) and A = 2^(w (n_y + 1)^2), for n_x and
+n_y letters of X and Y type, each monomial of an entry owns one w-bit
+slot of a Python int, and a letter step is a few shifts and adds of
+four ints.  That arithmetic is exact for any w; only decoding needs every
+coefficient to fit its slot.  The majorant bounds them: the same product
+of the sign-free patterns [[1, 1], [0, 1]] and [[1, 0], [1, 1]] bounds
+the sum of the absolute coefficients of each entry, so w is that bound's
+bit length plus a sign bit, rounded up to whole bytes.  Slots of up to
+8 bytes decode through numpy, wider ones (from q = 46 on Farey words)
+byte by byte.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import FormalVertex, NotNeighbours
-from .rings import Laurent2, Poly, Ring, RingSpec
+from .rings import Laurent2, Poly, Ring, RingSpec, _from_terms
 from .slopes import Slope, is_neighbor
 from .words import Letter, Word, farey_word
 
@@ -92,14 +117,96 @@ def gen_matrix(letter: Letter, ring: RingSpec = "generic") -> Mat2:
 def word_matrix(w: Word, ring: RingSpec = "generic") -> Mat2:
     """Left-to-right product of the letter matrices.
 
-    Each distinct letter's matrix is built once per call.
+    The generic ring multiplies four Kronecker-packed integers and decodes
+    them (see the module docstring); the parabolic and numeric rings
+    multiply ``Mat2`` values, building each distinct letter's matrix once
+    per call.  Either way the result equals the letter-by-letter ``Mat2``
+    product in the ring.
     """
     ring = Ring.parse(ring)
+    if ring.name == "generic":
+        return _packed_word_matrix(str(w))
     mats = {letter: gen_matrix(letter, ring) for letter in set(w.letters)}
     m = identity_matrix(ring)
     for letter in w.letters:
         m = m @ mats[letter]
     return m
+
+
+def _packed_word_matrix(chars: str) -> Mat2:
+    """The generic word matrix by Kronecker substitution."""
+    n_x = chars.count("X") + chars.count("x")
+    n_y = len(chars) - n_x
+    size = _slot_bytes(chars)
+    t_shift = 8 * size
+    b_shift = t_shift * (n_y + 1)
+    a_shift = b_shift * (n_y + 1)
+    a, b, c, d = 1, 0, 0, 1
+    for ch in chars:
+        if ch == "X":
+            a, b, c, d = a << a_shift, a + b, c << a_shift, c + d
+        elif ch == "x":
+            b, d = (b << a_shift) - a, (d << a_shift) - c
+        elif ch == "Y":
+            a, c = (a << b_shift) + (b << t_shift), (c << b_shift) + (d << t_shift)
+        else:
+            a, b, c, d = a - (b << t_shift), b << b_shift, c - (d << t_shift), d << b_shift
+    # Adding 2^(w-1) to every slot makes each one a nonnegative w-bit
+    # number, so the bytes of the sum hold the slots side by side.
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * ((n_x + 1) * (n_y + 1) ** 2), "little")
+    return Mat2(*(
+        _unpack(v + bias, alpha_shift, n_x, n_y, size)
+        for v, alpha_shift in ((a, 0), (b, 1), (c, -1), (d, 0))
+    ))
+
+
+def _slot_bytes(chars: str) -> int:
+    """Bytes per packed slot for the word ``chars``.
+
+    The sign-free product bounds every coefficient of every entry and of
+    the trace; one spare bit holds the sign, and slots are whole bytes.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for ch in chars:
+        if ch in "Xx":
+            b, d = a + b, c + d
+        else:
+            a, c = a + b, c + d
+    return (max(a + d, b, c).bit_length() + 8) // 8
+
+
+def _unpack(v: int, alpha_shift: int, n_x: int, n_y: int, size: int) -> Poly:
+    """The entry packed in ``v``, biased, in slots of ``size`` bytes.
+
+    Entry (r, c) has alpha_shift = c - r; slot A^m B^n T^k holds the
+    coefficient of z^k alpha^(2m + k + c - r - n_x) beta^(2n + k - n_y).
+    """
+    ny1 = n_y + 1
+    slots = (n_x + 1) * ny1 * ny1
+    raw = v.to_bytes(size * slots, "little")
+    rows = np.frombuffer(raw, np.uint8).reshape(slots, size)
+    if size <= 8:
+        # Each slot, zero-extended to 8 bytes, less the bias; the
+        # difference wraps in uint64 and reads back as int64.
+        wide = np.zeros((slots, 8), np.uint8)
+        wide[:, :size] = rows
+        coeffs = (wide.view("<u8")[:, 0] - np.uint64(1 << (8 * size - 1))).view(np.int64)
+        where = np.flatnonzero(coeffs)
+    else:
+        where = np.flatnonzero(rows[:, :-1].any(axis=1) | (rows[:, -1] != 0x80))
+    # Group the terms by their power of z, keeping slot order.
+    where = where[np.argsort(where % ny1, kind="stable")]
+    if size <= 8:
+        values = coeffs[where].tolist()
+    else:
+        half = 1 << (8 * size - 1)
+        values = [int.from_bytes(rows[i].tobytes(), "little") - half for i in where.tolist()]
+    m, rest = np.divmod(where, ny1 * ny1)
+    n, k = np.divmod(rest, ny1)
+    ends = np.searchsorted(k, np.arange(ny1), side="right").tolist()
+    starts = [0] + ends[:-1]
+    keys = list(zip((2 * m + k + (alpha_shift - n_x)).tolist(), (2 * n + k - n_y).tolist()))
+    return Poly([_from_terms(dict(zip(keys[lo:hi], values[lo:hi]))) for lo, hi in zip(starts, ends)])
 
 
 def farey_polynomial(s: Slope, ring: RingSpec = "generic") -> Poly:

@@ -149,9 +149,9 @@ def _initial_guesses(coeffs: list) -> np.ndarray:
     d = np.array(shifted, dtype=complex)
     with np.errstate(all="ignore"):
         try:
-            eig = np.roots((d.real if not np.any(d.imag) else d)[::-1]) + a / 4
+            eig = _companion_roots(d) + a / 4
         except np.linalg.LinAlgError:  # an entry d_k / d_n overflowed
-            raise DegreeOverflow("companion matrix exceeds double range") from None
+            eig = _scaled_companion_roots(d) + a / 4
         angles = 2 * np.pi * np.arange(len(eig)) / len(eig) + 0.4
         z = eig + 1e-6 * (1.0 + np.abs(eig)) * np.exp(1j * angles)
     if not np.all(np.isfinite(z)):
@@ -159,17 +159,45 @@ def _initial_guesses(coeffs: list) -> np.ndarray:
     return z
 
 
+def _companion_roots(d: np.ndarray) -> np.ndarray:
+    """Companion-matrix eigenvalues of ascending coefficients ``d``."""
+    return np.roots((d.real if not np.any(d.imag) else d)[::-1])
+
+
+def _scaled_companion_roots(d: np.ndarray) -> np.ndarray:
+    """``_companion_roots`` for coefficients whose ratios d_k / d_n pass
+    double range, by way of u = z / 2^s.
+
+    2^s is the power of two at or above max_k |d_k / d_n|^(1/(n-k)), taken
+    in logarithms, so every d_k 2^(s k) is at most the leading one; they
+    are scaled by one more power of two that brings the leading one near
+    1, and may underflow only where they barely move the roots.  Roots
+    beyond double range come back infinite.
+    """
+    n = len(d) - 1
+    with np.errstate(divide="ignore"):
+        logs = np.log2(np.abs(d))
+    k = np.arange(n + 1)
+    s = math.ceil(float(np.max((logs[:-1] - logs[-1]) / (n - k[:-1]))))
+    shift = s * k - math.ceil(logs[-1] + s * n)
+    u = _companion_roots(np.ldexp(d.real, shift) + 1j * np.ldexp(d.imag, shift))
+    return np.ldexp(u.real, s) + 1j * np.ldexp(u.imag, s)
+
+
 def _root_bound(c: np.ndarray) -> float:
     """Fujiwara bound: every root lies within this modulus.
 
     2 max_k |c_k / c_n|^(1/(n-k)), with c_0 halved.  Unlike Cauchy's
     1 + max_k |c_k / c_n| it stays within a small factor of the largest
-    root when the coefficients span many orders of magnitude.
+    root when the coefficients span many orders of magnitude.  It is
+    taken in logarithms, so ratios past double range cannot overflow; a
+    bound past double range is infinite.
     """
     n = len(c) - 1
-    ratios = np.abs(c[:-1]) / abs(c[-1])
-    ratios[0] /= 2
-    return 2.0 * float(np.max(ratios ** (1.0 / (n - np.arange(n)))))
+    with np.errstate(divide="ignore", over="ignore"):
+        logs = np.log2(np.abs(c))
+        logs[0] -= 1.0
+        return 2.0 * float(np.max(np.exp2((logs[:-1] - logs[-1]) / (n - np.arange(n)))))
 
 
 def _horner(c: np.ndarray) -> Callable:

@@ -1,9 +1,12 @@
 import ast
+import decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fareyslice import (
+    GeneratorParams,
     Laurent2,
     Poly,
     Slope,
@@ -13,6 +16,7 @@ from fareyslice import (
     mediant,
     ominus,
     parents,
+    specialize_parabolic,
 )
 from fareyslice import oracle
 from fareyslice.errors import FormalVertex, NotNeighbours
@@ -51,9 +55,108 @@ def test_word_matrix_determinants():
     for s in enumerate_farey(20):
         det = oracle.word_matrix(farey_word(s), "parabolic").det
         assert det == Poly([1])
-    for s in enumerate_farey(8):
+    for s in enumerate_farey(12):
         det = oracle.word_matrix(farey_word(s), "generic").det
         assert det == Poly([Laurent2.const(1)])
+
+
+def reference_word_matrix(w: Word, ring="generic") -> oracle.Mat2:
+    """The letter-by-letter Mat2 product that the generic ring used to run."""
+    m = oracle.identity_matrix(ring)
+    for letter in w.letters:
+        m = m @ oracle.gen_matrix(letter, ring)
+    return m
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet="XxYy", max_size=20))
+@example("")
+@example("xXyYYy")
+@example("XXXX")
+@example("yyyyy")
+def test_packed_generic_word_matrix_matches_the_letter_loop(text):
+    w = Word.from_string(text)
+    assert oracle.word_matrix(w) == reference_word_matrix(w)
+
+
+def _sign_free_majorant(w: Word) -> int:
+    """max(a + d, b, c) of the product of [[1, 1], [0, 1]] (X, x) and
+    [[1, 0], [1, 1]] (Y, y): it sets the packed slot width."""
+    a, b, c, d = 1, 0, 0, 1
+    for letter in w.letters:
+        if letter.generator == "X":
+            b, d = a + b, c + d
+        else:
+            a, c = a + b, c + d
+    return max(a + d, b, c)
+
+
+def _value_at_orders_3_4(c: Laurent2) -> complex:
+    """c at alpha = e^(i pi/3), beta = e^(i pi/4), rounded once.
+
+    alpha^i beta^j = zeta^(4i + 3j) with zeta = e^(i pi/12), so the exact
+    integer coefficients are summed by power of zeta first and the 24
+    sums weighted in 60-digit decimals.  Summing the terms in doubles
+    loses up to 1e-7 relative to cancellation on the words below.
+    """
+    sums = [0] * 24
+    for (i, j), v in c.terms.items():
+        sums[(4 * i + 3 * j) % 24] += v
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        r2, r6 = decimal.Decimal(2).sqrt(), decimal.Decimal(6).sqrt()
+        cos, sin = (r6 + r2) / 4, (r6 - r2) / 4
+        x, y, re, im = decimal.Decimal(1), decimal.Decimal(0), 0, 0
+        for total in sums:
+            re, im = re + total * x, im + total * y
+            x, y = x * cos - y * sin, x * sin + y * cos
+        return complex(float(re), float(im))
+
+
+@pytest.mark.parametrize(
+    "text, slot_bytes",
+    [("1/13", 3), ("1/25", 5), ("1/45", 8), ("1/50", 9), ("23/47", 9), ("(XY)^48", 9)],
+)
+def test_packed_generic_word_matrix_at_each_slot_width(text, slot_bytes):
+    w = Word.from_string("XY" * 48) if text == "(XY)^48" else farey_word(S(text))
+    assert oracle._slot_bytes(str(w)) == slot_bytes
+    generic = oracle.word_matrix(w)
+    assert generic == reference_word_matrix(w)
+    for g, p in zip(generic, oracle.word_matrix(w, "parabolic")):
+        assert specialize_parabolic(g) == p
+    for g, n in zip(generic, oracle.word_matrix(w, GeneratorParams(3, 4))):
+        exact = [_value_at_orders_3_4(c) for c in g.coeffs]
+        scale = max(map(abs, exact))
+        assert len(exact) == len(n.coeffs)
+        assert max(abs(e - v) for e, v in zip(exact, n.coeffs)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("q", [11, 17, 23, 46])
+def test_slot_width_leaves_room_for_the_sign(q):
+    # The majorant of 1/q has a bit length divisible by 8 here, so a
+    # slot without the sign bit would be one byte narrower.
+    w = farey_word(Slope(1, q))
+    bound = _sign_free_majorant(w)
+    size = oracle._slot_bytes(str(w))
+    assert bound.bit_length() % 8 == 0
+    assert 1 << (8 * size - 9) <= bound < 1 << (8 * size - 1)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 9])
+def test_unpack_decodes_extreme_slot_values(size):
+    n_x, n_y, alpha_shift = 1, 2, 1
+    top = (1 << (8 * size - 1)) - 1
+    slots = (n_x + 1) * (n_y + 1) ** 2
+    values = [(top, -top, 0, 1, -1, -top - 1)[i % 6] for i in range(slots)]
+    packed = sum(v << (8 * size * i) for i, v in enumerate(values))
+    bias = sum(1 << (8 * size * (i + 1) - 1) for i in range(slots))
+    expected = [{} for _ in range(n_y + 1)]
+    for i, v in enumerate(values):
+        m, n, k = i // (n_y + 1) ** 2, i // (n_y + 1) % (n_y + 1), i % (n_y + 1)
+        if v:
+            expected[k][(2 * m + k + alpha_shift - n_x, 2 * n + k - n_y)] = v
+    got = oracle._unpack(packed + bias, alpha_shift, n_x, n_y, size)
+    assert got == Poly([Laurent2(t) for t in expected])
 
 
 def test_oracle_polynomials_basic():

@@ -78,11 +78,20 @@ def test_roots_with_zero_roots_deflated():
 def test_roots_rejects_overflowing_coefficients():
     with pytest.raises(DegreeOverflow):
         pleating.all_roots([1.0, float("inf")])
-    # finite coefficients whose companion matrix (root -1e616) overflows
+    # finite coefficients whose root -1e616 lies past double range; the
+    # bound and the scaled guesses must raise without an overflow warning
     with pytest.raises(DegreeOverflow):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pleating.all_roots([1e308, 1e-308])
+        pleating.all_roots([1e308, 1e-308])
+
+
+def test_roots_whose_coefficient_ratios_pass_double_range():
+    # c_0 / c_2 = 1e600 overflows the companion matrix, but the roots
+    # +-1e300 i are doubles: the guesses come from a power-of-two scaling
+    # of z, and the root bound is taken in logarithms
+    found, residuals, converged = pleating.all_roots([1e300, 0, 1e-300])
+    assert converged
+    assert found == pytest.approx([-1e300j, 1e300j], rel=1e-12)
+    assert max(residuals) < 1e-14
 
 
 def test_roots_rejects_overflowing_evaluation():
