@@ -8,8 +8,15 @@ times alongside; the counts are deterministic, the times are not.
 
 Timing runs in the parabolic ring: the generic Laurent coefficients blow
 up combinatorially at the benchmark sizes and the pictures the speedup
-matters for are parabolic or numeric anyway.  A small generic-ring
-equality gate runs first so the timed code paths are the verified ones.
+matters for are parabolic or numeric anyway.  Two checks cover different
+code:
+
+- a small generic-ring gate runs first and compares the generic
+  recursion with the generic oracle on small slopes; that oracle
+  multiplies Kronecker-packed integers, not the ``Mat2`` products that
+  are timed;
+- the two timed parabolic results, the recursion's polynomial and the
+  trace of the ``Mat2`` word product, must be equal at the target.
 """
 
 from __future__ import annotations

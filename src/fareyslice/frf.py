@@ -196,15 +196,12 @@ class LeftFanClosedForm:
 def closed_form_left(z: complex, q: int) -> complex:
     """Closed-form value of the parabolic trace polynomial at slope 1/q.
 
-    Simplified form of the diagonalised fan recurrence; rejects z in
-    {0, 4} where the radical or the particular solution degenerates.
+    The diagonalised fan recurrence of ``LeftFanClosedForm``; rejects
+    z in {0, 4} where the radical or the particular solution degenerates.
     """
-    _check_not_singular(z)
     if q < 0:
         raise ValueError("q must be >= 0")
-    rad = cmath.sqrt(z * z - 4 * z)
-    powers = (z - 2 - rad) ** q + (z - 2 + rad) ** q
-    return 8 / (4 - z) + z / ((z - 4) * 2.0**q) * powers
+    return LeftFanClosedForm.at(z).value(q)
 
 
 def closed_form_homog_left(z: complex, q: int, a0: complex, a1: complex) -> complex:
@@ -224,6 +221,8 @@ def left_sequence(z, q: int, a0=2, a1=None, constant=8):
     ``constant=0`` for the homogeneous family.  Works over any ring the
     inputs live in (ints stay exact).
     """
+    if q < 0:
+        raise ValueError("q must be >= 0")
     if a1 is None:
         a1 = 2 + z
     cur, prev = a1, a0

@@ -8,9 +8,9 @@ resolution where Horner's rule on the expanded coefficients is
 noise-bound.  The iteration starts from the companion-matrix eigenvalues
 of the coefficients (exact integers are Taylor-shifted to the root
 centroid first), which it only polishes (two or three evaluations per
-parabolic root set for q <= 40); the double coefficients also bound the
-iteration and score it; ``all_roots``
-states the loop's one restart rule.  Reported residuals are
+parabolic root set for q <= 40); the double coefficients also probe the
+restart circle for overflow and score the result; ``all_roots`` states
+the loop's one restart rule.  Reported residuals are
 backward-error scaled, |P(z)| / sum_k |c_k| |z|^k: an absolute residual
 is meaningless for these polynomials, whose terms reach 1e20+ at the
 outermost roots while cancelling to machine precision.
@@ -47,9 +47,9 @@ __all__ = [
 class RootSet:
     """All complex roots of one shifted trace polynomial.
 
-    ``residuals`` are backward-error scaled; ``converged`` is False when
-    the iteration hit its budget, in which case the roots are reported
-    anyway and flagged.
+    ``residuals`` are backward-error scaled; ``converged`` is True
+    exactly when every residual is below 1e-10 (or there are no roots).
+    Unconverged roots are reported anyway and flagged.
     """
 
     slope: Optional[Slope]
@@ -184,20 +184,11 @@ def _scaled_companion_roots(d: np.ndarray) -> np.ndarray:
     return np.ldexp(u.real, s) + 1j * np.ldexp(u.imag, s)
 
 
-def _root_bound(c: np.ndarray) -> float:
-    """Fujiwara bound: every root lies within this modulus.
-
-    2 max_k |c_k / c_n|^(1/(n-k)), with c_0 halved.  Unlike Cauchy's
-    1 + max_k |c_k / c_n| it stays within a small factor of the largest
-    root when the coefficients span many orders of magnitude.  It is
-    taken in logarithms, so ratios past double range cannot overflow; a
-    bound past double range is infinite.
-    """
-    n = len(c) - 1
-    with np.errstate(divide="ignore", over="ignore"):
-        logs = np.log2(np.abs(c))
-        logs[0] -= 1.0
-        return 2.0 * float(np.max(np.exp2((logs[:-1] - logs[-1]) / (n - np.arange(n)))))
+# The Aberth loop's budget and step test, and the backward error below
+# which ``all_roots`` reports a root set as converged.
+_MAX_ITER = 400
+_STEP_TOL = 5e-14
+_CONVERGED_RESIDUAL = 1e-10
 
 
 def _horner(c: np.ndarray) -> Callable:
@@ -219,10 +210,7 @@ def _deflated(evaluate: Callable, m: int) -> Callable:
 
 
 def all_roots(
-    coeffs: list[complex],
-    max_iter: int = 400,
-    tol: float = 5e-14,
-    evaluate: Optional[Callable] = None,
+    coeffs: list[complex], evaluate: Optional[Callable] = None
 ) -> tuple[list[complex], list[float], bool]:
     """Aberth-Ehrlich iteration for every root of a dense polynomial.
 
@@ -236,13 +224,15 @@ def all_roots(
     moves until the step test passes, and conjugate candidates merge only
     within 1e-9.  The coefficients still give the initial guesses (their
     companion-matrix eigenvalues, about the root centroid for ints, see
-    ``_initial_guesses``) and, as doubles, the root bound, the overflow
-    probe and the residuals.  A particle whose Newton ratio is not finite
-    (P overflowing, say), or that moves outside twice the root bound,
-    restarts at a fresh angle on the circle of the largest initial guess,
-    where the probe found P finite.  Exact zero
-    roots are deflated first, from the evaluator too.  Returns (roots,
-    scaled residuals, converged flag).
+    ``_initial_guesses``) and, as doubles, the overflow probe and the
+    residuals.  The restart circle is the circle of the largest initial
+    guess, where the probe found P finite; a particle whose Newton ratio
+    is not finite (P overflowing, say), or that moves outside twice that
+    circle, restarts on it at a fresh angle.  The step test only ends the
+    loop; a run that does not settle within the budget gets a short
+    Newton polish.  Exact zero roots are deflated first, from the
+    evaluator too.  Returns (roots, scaled residuals, converged), where
+    converged means the worst scaled residual is below 1e-10.
     """
     exact = list(coeffs)
     try:
@@ -263,7 +253,6 @@ def all_roots(
     deg = len(cs) - 1
     if deg == 0:
         roots_arr = np.array([], dtype=complex)
-        converged = True
     else:
         c = np.array(cs, dtype=complex)
         abs_rev = np.abs(c[::-1])
@@ -285,7 +274,6 @@ def all_roots(
                 newton = pz / dpz
             return pz, np.where(np.isfinite(newton), newton, np.nan)
 
-        bound = _root_bound(c)
         z = _initial_guesses(exact)
         # P is finite on the circle of the largest initial guess, or the
         # probe fails; particles restart there.
@@ -297,8 +285,8 @@ def all_roots(
                 "polynomial values overflow double range during iteration"
             )
         escape_rotation = 0.0
-        converged = False
-        for _ in range(max_iter):
+        settled = False
+        for _ in range(_MAX_ITER):
             pz, newton = newton_ratio(z)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
@@ -315,19 +303,19 @@ def all_roots(
             z = z - step
             # The restart rule (see the docstring).  Each restarted
             # particle gets its own angle, so NaN ones cannot coincide.
-            runaway = np.flatnonzero(~(np.abs(z) <= 2.0 * bound))
+            runaway = np.flatnonzero(~(np.abs(z) <= 2.0 * restart))
             if runaway.size:
                 escape_rotation += 0.83
                 spread = 2.0 * np.pi * np.arange(runaway.size) / runaway.size
                 angles = np.angle(np.nan_to_num(z[runaway])) + escape_rotation + spread
                 z[runaway] = restart * np.exp(1j * angles)
                 continue
-            if np.all(frozen | (np.abs(step) <= tol * (1.0 + np.abs(z)))):
-                converged = True
+            if np.all(frozen | (np.abs(step) <= _STEP_TOL * (1.0 + np.abs(z)))):
+                settled = True
                 break
-        # Newton polish for particles still above the noise floor.  With
-        # an accurate evaluator, a run that passed the step test has none.
-        for _ in range(3 if noisy or not converged else 0):
+        # Newton polish, for a run that did not settle, of the particles
+        # still above the noise floor.
+        for _ in range(0 if settled else 3):
             pz, newton = newton_ratio(z)
             mask = (np.abs(pz) > noise(z)) & np.isfinite(newton)
             z = np.where(mask, z - newton, z)
@@ -337,10 +325,7 @@ def all_roots(
             z = _symmetrize_conjugates(z, tol=1e-6 if noisy else 1e-9)
         roots_arr = z
     res = _scaled_residuals(np.array(cs, dtype=complex), roots_arr) if deg else np.array([])
-    # The step criterion can chatter at the noise floor; a backward error
-    # at machine scale is the real success condition.
-    if deg and not converged and float(np.max(res)) < 1e-10:
-        converged = True
+    converged = not deg or float(np.max(res)) < _CONVERGED_RESIDUAL
     found = list(zero_roots) + [complex(z) for z in roots_arr]
     residuals = [0.0] * len(zero_roots) + [float(r) for r in res]
     order = sorted(
@@ -381,7 +366,7 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
         p, dp = engine.evaluate(s, z)
         return p + two, dp
 
-    # The coefficients only seed, bound and score the iteration, so exact
+    # The coefficients only seed, probe and score the iteration, so exact
     # integers past 2**53 convert to doubles without a lossy-input warning.
     coeffs = (engine.polynomial(s) + Poly([two])).coeffs
     rs, res, ok = all_roots(coeffs, evaluate=shifted)

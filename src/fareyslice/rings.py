@@ -199,10 +199,6 @@ class Poly:
             cs.pop()
         self.coeffs = cs
 
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls([c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

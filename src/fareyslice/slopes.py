@@ -168,9 +168,6 @@ class CFExpansion:
             while True:
                 yield from block
 
-    def take(self, n: int) -> list[int]:
-        return list(islice(iter(self), n))
-
     def evaluate(self) -> Slope:
         if not self.is_finite:
             raise ValueError("cannot evaluate a periodic expansion exactly")

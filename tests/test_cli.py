@@ -136,8 +136,11 @@ def test_usage_errors(capsys):
 
 def test_errors_inside_a_computation_exit_2(capsys):
     # Both commands parse; the ValueError comes from the library call.
-    code, _, err = run(capsys, "closed-form", "--q", "-1", "--z", "1")
-    assert code == 2 and "computation failed" in err
+    # At z = 0 and z = 4 the closed form is singular and the recurrence
+    # fallback must reject the negative q too.
+    for z in ("1", "0", "4"):
+        code, _, err = run(capsys, "closed-form", "--q", "-1", "--z", z)
+        assert code == 2 and "computation failed" in err, z
     code, _, err = run(capsys, "conjecture", "--qmax", "1")
     assert code == 2 and "computation failed" in err
 

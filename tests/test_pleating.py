@@ -79,7 +79,7 @@ def test_roots_rejects_overflowing_coefficients():
     with pytest.raises(DegreeOverflow):
         pleating.all_roots([1.0, float("inf")])
     # finite coefficients whose root -1e616 lies past double range; the
-    # bound and the scaled guesses must raise without an overflow warning
+    # scaled guesses must raise without an overflow warning
     with pytest.raises(DegreeOverflow):
         pleating.all_roots([1e308, 1e-308])
 
@@ -87,11 +87,27 @@ def test_roots_rejects_overflowing_coefficients():
 def test_roots_whose_coefficient_ratios_pass_double_range():
     # c_0 / c_2 = 1e600 overflows the companion matrix, but the roots
     # +-1e300 i are doubles: the guesses come from a power-of-two scaling
-    # of z, and the root bound is taken in logarithms
+    # of z
     found, residuals, converged = pleating.all_roots([1e300, 0, 1e-300])
     assert converged
     assert found == pytest.approx([-1e300j, 1e300j], rel=1e-12)
     assert max(residuals) < 1e-14
+
+
+# The nudge, the step floor and the near-real snap are absolute for
+# |z| < 1, so roots of modulus 1e-10 or 1e-6 come back with residual 1.0;
+# the converged flag must say so, whatever the step test said.
+def test_tiny_roots_do_not_warn_and_are_not_converged():
+    # Particles must not coincide in the Aberth sums' divisions.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        found, residuals, converged = pleating.all_roots([1e-20, 0, 1])
+    assert len(found) == 2 and not converged
+
+
+def test_tiny_roots_that_pass_the_step_test_are_not_converged():
+    rs = pleating.roots(Poly([1e-12, 0, 1]))
+    assert max(rs.residuals) >= 1e-10 and rs.converged is False
 
 
 def test_roots_rejects_overflowing_evaluation():
@@ -149,7 +165,8 @@ def test_roots_horner_path_finds_distinct_roots():
 def test_cusp_candidates_iteration_budget(monkeypatch):
     # Centroid-shifted guesses are close enough that every parabolic set
     # with q <= 30 passes the step test within 3 evaluator calls, fans
-    # 1/q and (q - 1)/q included.
+    # 1/q and (q - 1)/q included.  The converged flag is the residual
+    # test, whatever the step test said.
     evaluate = recursion.FareyPolynomialEngine.evaluate
     calls = []
 
@@ -162,6 +179,7 @@ def test_cusp_candidates_iteration_budget(monkeypatch):
         calls.clear()
         rs = pleating.cusp_candidates(s)
         assert rs.converged and len(calls) <= 3, (s, len(calls))
+        assert rs.converged == (max(rs.residuals) < 1e-10), s
 
 
 def test_symmetrize_conjugates():
@@ -289,8 +307,8 @@ def test_cusp_candidates_forward_accurate_up_to_40():
 # 98/99: the first Aberth step flings a particle to |z| ~ 4e3, where P
 # overflows doubles; the particle must restart, not spread NaN.
 # 127/128 (and, in the cone ring, 3/128 and 47/128): P overflows even on
-# the root-bound circle, so a particle must restart on the circle of the
-# largest initial guess, where P is finite.
+# the circle of Fujiwara's root bound, so a particle must restart on the
+# circle of the largest initial guess, where P is finite.
 @pytest.mark.parametrize(
     "s, params",
     [
