@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .recursion import FareyPolynomialEngine
-from .rings import poly_mul_count, reset_poly_mul_count
+from .rings import poly_mul_count
 from .slopes import CFExpansion, Slope, semiconvergent_path
 from .words import farey_word
 
@@ -75,6 +75,8 @@ class BenchReport:
 
 
 def _targets(path_kind: str, size: int) -> Slope:
+    if size < 1:
+        raise ValueError(f"benchmark size must be >= 1, got {size}")
     if path_kind == "left":
         return Slope(1, size)
     if path_kind == "fibonacci":
@@ -102,20 +104,19 @@ def run_benchmark(path_kind: str, size: int) -> BenchReport:
     target = _targets(path_kind, size)
     gate_checked = _gate(path_kind)
 
+    # Deltas of the process-wide count: callers may be counting around us.
     engine = FareyPolynomialEngine("parabolic")
-    reset_poly_mul_count()
+    word = farey_word(target)
+    m0 = poly_mul_count()
     t0 = time.perf_counter()
     via_recursion = engine.polynomial(target)
     rec_seconds = time.perf_counter() - t0
-    rec_mults = poly_mul_count()
+    m1 = poly_mul_count()
 
-    word = farey_word(target)
-    reset_poly_mul_count()
     t0 = time.perf_counter()
     via_matrices = oracle.word_matrix(word, "parabolic").trace
     orc_seconds = time.perf_counter() - t0
-    orc_mults = poly_mul_count()
-    reset_poly_mul_count()
+    rec_mults, orc_mults = m1 - m0, poly_mul_count() - m1
 
     if via_matrices != via_recursion:
         raise AssertionError(f"methods disagree at {target}")

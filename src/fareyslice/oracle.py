@@ -4,7 +4,11 @@ This module never touches the triangle recursion: it computes the trace
 of the word matrix directly from the generator matrices, so it serves as
 an independent oracle for everything the recursion engine produces.  It
 shares no polynomial multiplication with the recursion either: the
-generic ring multiplies packed integers, not ``Poly`` values.
+generic ring steps packed integers letter by letter with shifts and adds,
+not ``Poly`` products.  The one piece the two share is the slot decoder
+``rings.unpack_laurent_poly``, through which the recursion's packed
+``Laurent2`` products decode too; its tests check it against explicit
+slot values and the products against a term-by-term double loop.
 
 The generator matrices are upper/lower triangular with unit determinant;
 their entries are polynomials in the trace variable whose coefficients
@@ -28,9 +32,9 @@ four ints.  That arithmetic is exact for any w; only decoding needs every
 coefficient to fit its slot.  The majorant bounds them: the same product
 of the sign-free patterns [[1, 1], [0, 1]] and [[1, 0], [1, 1]] bounds
 the sum of the absolute coefficients of each entry, so w is that bound's
-bit length plus a sign bit, rounded up to whole bytes.  Slots of up to
-8 bytes decode through numpy, wider ones (from q = 46 on Farey words)
-byte by byte.
+bit length plus a sign bit, rounded up to whole bytes.  The decoder
+reads slots of up to 8 bytes through numpy and wider ones (from q = 46
+on Farey words) byte by byte.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormalVertex, NotNeighbours
-from .rings import Laurent2, Poly, Ring, RingSpec, _from_terms
+from .rings import Laurent2, Poly, Ring, RingSpec, slot_bias, unpack_laurent_poly
 from .slopes import Slope, is_neighbor
 from .words import Letter, Word, farey_word
 
@@ -151,9 +155,7 @@ def _packed_word_matrix(chars: str) -> Mat2:
             a, c = (a << b_shift) + (b << t_shift), (c << b_shift) + (d << t_shift)
         else:
             a, b, c, d = a - (b << t_shift), b << b_shift, c - (d << t_shift), d << b_shift
-    # Adding 2^(w-1) to every slot makes each one a nonnegative w-bit
-    # number, so the bytes of the sum hold the slots side by side.
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * ((n_x + 1) * (n_y + 1) ** 2), "little")
+    bias = slot_bias((n_x + 1) * (n_y + 1) ** 2, size)
     return Mat2(*(
         _unpack(v + bias, alpha_shift, n_x, n_y, size)
         for v, alpha_shift in ((a, 0), (b, 1), (c, -1), (d, 0))
@@ -182,31 +184,13 @@ def _unpack(v: int, alpha_shift: int, n_x: int, n_y: int, size: int) -> Poly:
     coefficient of z^k alpha^(2m + k + c - r - n_x) beta^(2n + k - n_y).
     """
     ny1 = n_y + 1
-    slots = (n_x + 1) * ny1 * ny1
-    raw = v.to_bytes(size * slots, "little")
-    rows = np.frombuffer(raw, np.uint8).reshape(slots, size)
-    if size <= 8:
-        # Each slot, zero-extended to 8 bytes, less the bias; the
-        # difference wraps in uint64 and reads back as int64.
-        wide = np.zeros((slots, 8), np.uint8)
-        wide[:, :size] = rows
-        coeffs = (wide.view("<u8")[:, 0] - np.uint64(1 << (8 * size - 1))).view(np.int64)
-        where = np.flatnonzero(coeffs)
-    else:
-        where = np.flatnonzero(rows[:, :-1].any(axis=1) | (rows[:, -1] != 0x80))
-    # Group the terms by their power of z, keeping slot order.
-    where = where[np.argsort(where % ny1, kind="stable")]
-    if size <= 8:
-        values = coeffs[where].tolist()
-    else:
-        half = 1 << (8 * size - 1)
-        values = [int.from_bytes(rows[i].tobytes(), "little") - half for i in where.tolist()]
-    m, rest = np.divmod(where, ny1 * ny1)
-    n, k = np.divmod(rest, ny1)
-    ends = np.searchsorted(k, np.arange(ny1), side="right").tolist()
-    starts = [0] + ends[:-1]
-    keys = list(zip((2 * m + k + (alpha_shift - n_x)).tolist(), (2 * n + k - n_y).tolist()))
-    return Poly([_from_terms(dict(zip(keys[lo:hi], values[lo:hi]))) for lo, hi in zip(starts, ends)])
+
+    def exponents(where):
+        m, rest = np.divmod(where, ny1 * ny1)
+        n, k = np.divmod(rest, ny1)
+        return k, 2 * m + k + (alpha_shift - n_x), 2 * n + k - n_y
+
+    return unpack_laurent_poly(v, (n_x + 1) * ny1 * ny1, size, exponents, ny1)
 
 
 def farey_polynomial(s: Slope, ring: RingSpec = "generic") -> Poly:

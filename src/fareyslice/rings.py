@@ -12,6 +12,15 @@ Every value is immutable in practice (nothing mutates after construction)
 and all operations are pure.  ``Poly`` multiplications are counted in a
 module-level tally so benchmark code can report exact operation counts.
 
+A ``Poly`` product over ``Laurent2`` is one CPython big-int product by
+Kronecker substitution (Schoenhage 1982; Harvey 2009), with the
+substitution T = u v z, A = u^2, B = v^2 that ``oracle`` uses for word
+matrices: each term c z^k u^i v^j owns a slot indexed by k and its
+sheared exponents i - k and j - k, halved when all are of one parity.
+Factors with at most a recursion seed's 3 terms, and all int and complex
+products, keep the coefficient double loop.  The decoder of packed slots,
+``unpack_laurent_poly``, is shared with ``oracle``'s packed word matrices.
+
 ``Laurent2`` invariant: a value stores no zero coefficient.  Its arithmetic
 allocates only the result, and its fast paths (adding zero, multiplying
 by the constant 1) return an operand itself, so results share term dicts
@@ -27,6 +36,8 @@ import re
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from .errors import ZeroDivisor
 
@@ -241,12 +252,24 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product with a Poly, or scaling by anything else.
+
+        When either factor has ``Laurent2`` coefficients and neither has
+        at most a seed's 3 terms, the product is one big-int product by
+        Kronecker substitution (see ``_packed_product``).  Every other
+        product, including all int and complex ones, runs the double loop.
+        Either way it counts once in ``poly_mul_count``.
+        """
         if isinstance(other, Poly):
             global _POLY_MULS
             _POLY_MULS += 1
             a, b = self.coeffs, other.coeffs
             if not a or not b:
                 return Poly()
+            if (Laurent2 in map(type, a) or Laurent2 in map(type, b)) and not (
+                _few_terms(a) or _few_terms(b)
+            ):
+                return _packed_product(a, b)
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
                 if not ca:
@@ -307,6 +330,130 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r})"
+
+
+# A factor with at most this many terms, as each recursion seed has, is
+# multiplied by the double loop: packing it costs more than it saves.
+_SEED_TERMS = 3
+
+
+def _few_terms(coeffs: list) -> bool:
+    """Whether ``coeffs`` hold at most ``_SEED_TERMS`` nonzero terms."""
+    n = 0
+    for c in coeffs:
+        n += len(c.terms) if type(c) is Laurent2 else c != 0
+        if n > _SEED_TERMS:
+            return False
+    return True
+
+
+def _sheared(coeffs: list) -> tuple:
+    """Every term c z^k u^i v^j as arrays k, x = i - k, y = j - k and a list of c."""
+    ks, i_s, j_s, cs = [], [], [], []
+    for k, c in enumerate(coeffs):
+        if type(c) is not Laurent2:
+            c = Laurent2.const(c)
+        if c.terms:
+            i, j = zip(*c.terms)
+            ks.extend([k] * len(i))
+            i_s.extend(i)
+            j_s.extend(j)
+            cs.extend(c.terms.values())
+    k = np.array(ks)
+    return k, np.array(i_s) - k, np.array(j_s) - k, cs
+
+
+def _packed_product(a: list, b: list) -> "Poly":
+    """The product of two ``Laurent2``-coefficient polynomials as one int product.
+
+    Each term c z^k u^i v^j goes to slot (k, X, Y), where X and Y are the
+    sheared exponents i - k and j - k less their least value in the factor,
+    halved when every such difference in both factors is even (as in every
+    trace polynomial).  Slots are numbered k-major with the product's X and
+    Y ranges, so a product slot is the sum of its factors' slots and the
+    big-int product of the packed factors holds the product's coefficients
+    side by side.  No coefficient of the product exceeds S M, the sum of the
+    absolute coefficients of one factor times the largest of the other, so
+    a slot of that bit length plus a sign bit, in whole bytes, decodes
+    exactly.
+    """
+    (ka, xa, ya, ca), (kb, xb, yb, cb) = _sheared(a), _sheared(b)
+    x0a, y0a, x0b, y0b = xa.min(), ya.min(), xb.min(), yb.min()
+    xa, ya, xb, yb = xa - x0a, ya - y0a, xb - x0b, yb - y0b
+    halve = int(not (((xa | ya) & 1).any() or ((xb | yb) & 1).any()))
+    xa, ya, xb, yb = xa >> halve, ya >> halve, xb >> halve, yb >> halve
+    nx = int(xa.max() + xb.max()) + 1
+    ny = int(ya.max() + yb.max()) + 1
+    bound = min(sum(map(abs, ca)) * max(map(abs, cb)), sum(map(abs, cb)) * max(map(abs, ca)))
+    size = (bound.bit_length() + 8) // 8
+    length = len(a) + len(b) - 1
+    packed = _pack((ka * nx + xa) * ny + ya, ca, len(a) * nx * ny, size) * _pack(
+        (kb * nx + xb) * ny + yb, cb, len(b) * nx * ny, size
+    )
+    slots = length * nx * ny
+
+    def exponents(where):
+        k, rest = np.divmod(where, nx * ny)
+        x, y = np.divmod(rest, ny)
+        return k, (x << halve) + (x0a + x0b) + k, (y << halve) + (y0a + y0b) + k
+
+    return unpack_laurent_poly(packed + slot_bias(slots, size), slots, size, exponents, length)
+
+
+def slot_bias(slots: int, size: int) -> int:
+    """2^(8 size - 1) in each of ``slots`` slots of ``size`` bytes.
+
+    Added to signed coefficients packed side by side, it makes every slot
+    a nonnegative number below 2^(8 size), so the bytes of the sum hold
+    the slots one by one.  Package-internal, so not exported.
+    """
+    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+
+
+def _pack(where, values: list, slots: int, size: int) -> int:
+    """Sum of values[t] 2^(8 size where[t]): signed coefficients side by side."""
+    half = 1 << (8 * size - 1)
+    bias = slot_bias(slots, size)
+    buf = bytearray(bias.to_bytes(size * slots, "little"))
+    for w, c in zip((where * size).tolist(), values):
+        buf[w : w + size] = (c + half).to_bytes(size, "little")
+    return int.from_bytes(buf, "little") - bias
+
+
+def unpack_laurent_poly(v: int, slots: int, size: int, exponents, length: int) -> "Poly":
+    """The ``Laurent2``-coefficient polynomial packed, biased, in ``v``.
+
+    ``v`` holds ``slots`` slots of ``size`` bytes, little-endian; each slot
+    is a coefficient plus 2^(8 size - 1) (see ``slot_bias``).
+    ``exponents(where)`` maps an array of slot numbers to arrays (k, i, j):
+    the slot's term is c z^k u^i v^j.  ``length`` is the number of
+    coefficients returned.  Slots of up to 8 bytes decode through numpy,
+    wider ones byte by byte.  Package-internal, so not exported.
+    """
+    raw = v.to_bytes(size * slots, "little")
+    rows = np.frombuffer(raw, np.uint8).reshape(slots, size)
+    if size <= 8:
+        # Each slot, zero-extended to 8 bytes, less the bias; the
+        # difference wraps in uint64 and reads back as int64.
+        wide = np.zeros((slots, 8), np.uint8)
+        wide[:, :size] = rows
+        coeffs = (wide.view("<u8")[:, 0] - np.uint64(1 << (8 * size - 1))).view(np.int64)
+        where = np.flatnonzero(coeffs)
+    else:
+        where = np.flatnonzero(rows[:, :-1].any(axis=1) | (rows[:, -1] != 0x80))
+    k, i, j = exponents(where)
+    # Group the terms by their power of z, keeping slot order.
+    order = np.argsort(k, kind="stable")
+    where, k = where[order], k[order]
+    if size <= 8:
+        values = coeffs[where].tolist()
+    else:
+        half = 1 << (8 * size - 1)
+        values = [int.from_bytes(rows[t].tobytes(), "little") - half for t in where.tolist()]
+    ends = np.searchsorted(k, np.arange(length), side="right").tolist()
+    starts = [0] + ends[:-1]
+    keys = list(zip(i[order].tolist(), j[order].tolist()))
+    return Poly([_from_terms(dict(zip(keys[lo:hi], values[lo:hi]))) for lo, hi in zip(starts, ends)])
 
 
 def exact_div(x, d):

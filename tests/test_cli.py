@@ -127,6 +127,14 @@ def test_bench_command(capsys):
     assert data["target"] == "21/34"
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_bench_rejects_sizes_below_one(capsys, size):
+    # The size parses; the library rejects it, naming it, before any word.
+    code, out, err = run(capsys, "bench", "--path", "left", "--size", size)
+    assert code == 2 and out == ""
+    assert "computation failed" in err and f"got {size}" in err
+
+
 def test_usage_errors(capsys):
     assert main(["word"]) == 1
     assert main(["nonsense"]) == 1

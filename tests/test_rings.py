@@ -20,10 +20,10 @@ from fareyslice import (
     specialize_numeric,
     specialize_parabolic,
 )
-from fareyslice import oracle
+from fareyslice import oracle, rings
 from fareyslice.errors import ZeroDivisor
 from fareyslice.recursion import get_engine
-from fareyslice.rings import Ring, exact_div
+from fareyslice.rings import Ring, exact_div, poly_mul_count
 from fareyslice.words import Letter
 
 
@@ -175,6 +175,75 @@ def test_laurent_poly_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def reference_poly_mul(a: Poly, b: Poly) -> list[dict]:
+    """The product's terms by power of z, by a per-coefficient double loop."""
+    out = [{} for _ in range(max(0, len(a.coeffs) + len(b.coeffs) - 1))]
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] = reference_add(out[i + j], reference_mul(terms_of(ca), terms_of(cb)))
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _sheared_even(rows: list, di: int, dj: int) -> Poly:
+    """Terms whose i - k and j - k are all of one parity, as in trace polynomials."""
+    return Poly(
+        Laurent2({(2 * x + k + di, 2 * y + k + dj): c for (x, y), c in row.items()})
+        for k, row in enumerate(rows)
+    )
+
+
+big_coeffs = st.integers(-(10**6), 10**6)
+# Terms of every parity, with plain ints among the coefficients.
+mixed_polys = st.lists(
+    st.one_of(
+        st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), big_coeffs, max_size=6).map(Laurent2),
+        st.integers(-9, 9),
+    ),
+    max_size=5,
+).map(Poly)
+even_polys = st.builds(
+    _sheared_even,
+    st.lists(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), big_coeffs, max_size=6), max_size=5),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+)
+generic_polys = st.one_of(mixed_polys, even_polys)
+
+_WIDE = Poly([
+    Laurent2({(0, 0): 2**70, (1, 1): -3, (2, 0): 5}),
+    Laurent2({(1, -1): 2**64 + 1, (-1, 1): -(2**63), (0, 2): 7}),
+])
+
+
+@settings(max_examples=300)
+@given(generic_polys, generic_polys)
+@example(Poly(), _WIDE)
+@example(_WIDE, Poly([Laurent2()]))
+@example(farey_polynomial(Slope(0, 1), "generic"), oracle.farey_polynomial(Slope(3, 8)))
+@example(oracle.farey_polynomial(Slope(5, 12)), oracle.farey_polynomial(Slope(3, 8)))
+@example(_WIDE, Poly([Laurent2({(0, 0): -(2**80)}), 1, 2, 3, 4]))
+@example(Poly([1, 2, Laurent2({(1, 0): 1}), 3]), Poly([Laurent2({(0, 1): -1}), 0, 4, 5]))
+def test_generic_poly_product_matches_the_double_loop(a, b):
+    want = reference_poly_mul(a, b)
+    before = poly_mul_count()
+    got = a * b
+    assert poly_mul_count() == before + 1
+    assert [terms_of(c) for c in got.coeffs] == want
+    assert all(all(terms_of(c).values()) for c in got.coeffs), "a zero coefficient is stored"
+    # The packed product itself, also on the seed-sized and all-int
+    # factors that the double loop takes.
+    if a.coeffs and b.coeffs:
+        assert [terms_of(c) for c in rings._packed_product(a.coeffs, b.coeffs).coeffs] == want
+
+
+def test_wide_packed_product_decodes_past_int64():
+    got = _WIDE * _WIDE
+    assert max(abs(v) for c in got.coeffs for v in c.terms.values()) == 2**140
+    assert [c.terms for c in got.coeffs] == reference_poly_mul(_WIDE, _WIDE)
 
 
 def test_specialize_parabolic_examples():
