@@ -1,19 +1,22 @@
 """Root loci of trace polynomials: slice clouds and cusp approximations.
 
 All roots of P + 2 are extracted with an Aberth-Ehrlich simultaneous
-iteration over complex doubles (Aberth 1973, Ehrlich 1967).  For trace
-polynomials the iteration evaluates P + 2 and P' by the triangle
-recursion on arrays of points, which keeps roots accurate to double
-resolution where Horner's rule on the expanded coefficients is
-noise-bound.  The iteration starts from the companion-matrix eigenvalues
-of the coefficients (exact integers are Taylor-shifted to the root
-centroid first), which it only polishes (two or three evaluations per
-parabolic root set for q <= 40); the double coefficients also probe the
-restart circle for overflow and score the result; ``all_roots`` states
-the loop's one restart rule.  Reported residuals are
-backward-error scaled, |P(z)| / sum_k |c_k| |z|^k: an absolute residual
-is meaningless for these polynomials, whose terms reach 1e20+ at the
-outermost roots while cancelling to machine precision.
+iteration over complex doubles (Aberth 1973, Ehrlich 1967).  The
+iteration has one contract: its evaluator gives P and P' accurate to
+double resolution.  For trace polynomials it evaluates P + 2 and P' by
+the triangle recursion on arrays of points; for any other polynomial
+(``roots``) it evaluates the exact coefficients at each double point in
+Python ints and rounds P and P' once, where double Horner on the
+expanded coefficients would be noise-bound.  The iteration starts from
+the companion-matrix eigenvalues of the coefficients (exact integers are
+Taylor-shifted to the root centroid first), which it only polishes (two
+or three evaluations per parabolic root set for q <= 40); the double
+coefficients also probe the restart circle for overflow and score the
+result; ``all_roots`` states the loop's one restart rule.  Reported
+residuals are backward-error scaled, |P(z)| / sum_k |c_k| |z|^k: an
+absolute residual is meaningless for these polynomials, whose terms
+reach 1e20+ at the outermost roots while cancelling to machine
+precision.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import DegreeOverflow, FormalVertex
 from .recursion import get_engine
-from .rings import GeneratorParams, Laurent2, Poly, Ring, to_complex_coeffs
+from .rings import GeneratorParams, Laurent2, Poly, Ring
 from .slopes import CFExpansion, Slope, _mediant_walk, enumerate_farey
 
 __all__ = [
@@ -70,8 +73,8 @@ def _symmetrize_conjugates(z: np.ndarray, tol: float) -> np.ndarray:
     each other's nearest and within ``tol`` (relative) is averaged, which
     only moves each root by about its own error; other roots are left
     alone.  ``tol`` must stay below the closest genuine root separation or
-    distinct roots would be merged, so accurately evaluated inputs use a
-    much tighter value than noisy ones.
+    distinct roots would be merged; ``all_roots``, whose evaluators are
+    accurate to double resolution, uses 1e-9.
     """
     z = z.copy()
     near_real = np.abs(z.imag) <= tol * (1.0 + np.abs(z))
@@ -191,11 +194,53 @@ _STEP_TOL = 5e-14
 _CONVERGED_RESIDUAL = 1e-10
 
 
-def _horner(c: np.ndarray) -> Callable:
-    """Evaluator by double Horner on the ascending coefficients ``c``."""
-    rev = c[::-1]
-    drev = (c[1:] * np.arange(1, len(c)))[::-1]
-    return lambda z: (np.polyval(rev, z), np.polyval(drev, z))
+def _over_power_of_two(values) -> tuple[list[int], int]:
+    """Ints n_i and e with values[i] = n_i / 2^e exactly, for ints and doubles."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den.bit_length() - 1
+
+
+def _rounded(num: int, shift: int) -> float:
+    """num / 2^shift, correctly rounded (int true division); past double
+    range, an infinity of num's sign."""
+    try:
+        return num / (1 << shift)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _exact_evaluator(coeffs: list) -> Callable:
+    """Evaluator of P and P' at double points, each rounded once.
+
+    Ints are exact and every double is an int over a power of two.  Over
+    one power of two 2^e for the coefficients and one 2^f for each point
+    w = (x + iy) / 2^f, one Horner pass over Python ints carries the
+    numerators of P and P' exactly: after j steps they lie over 2^(f j)
+    and 2^(f (j - 1)).  A value past double range comes back infinite,
+    and the loop restarts that particle.
+    """
+    cs = [c if isinstance(c, int) else complex(c) for c in coeffs]
+    nums, e = _over_power_of_two([part for c in cs for part in (c.real, c.imag)])
+    re, im = nums[0::2], nums[1::2]
+    n = len(coeffs) - 1
+
+    def evaluate(z):
+        ps, dps = [], []
+        for w in z.tolist():
+            (x, y), f = _over_power_of_two((w.real, w.imag))
+            pr, pi, dr, di = re[n], im[n], 0, 0
+            for j in range(1, n + 1):
+                dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+                pr, pi = (
+                    pr * x - pi * y + (re[n - j] << f * j),
+                    pr * y + pi * x + (im[n - j] << f * j),
+                )
+            ps.append(complex(_rounded(pr, e + f * n), _rounded(pi, e + f * n)))
+            dps.append(complex(_rounded(dr, e + f * (n - 1)), _rounded(di, e + f * (n - 1))))
+        return np.array(ps), np.array(dps)
+
+    return evaluate
 
 
 def _deflated(evaluate: Callable, m: int) -> Callable:
@@ -215,14 +260,14 @@ def all_roots(
     """Aberth-Ehrlich iteration for every root of a dense polynomial.
 
     ``coeffs`` ascending, as Python ints (kept exact for the initial
-    guesses) or anything ``complex`` accepts; the leading coefficient must
-    be nonzero.  ``evaluate(z)`` returns the values and derivatives at an
-    array of points.  The default, double Horner on ``coeffs``, is noise-bound: a
-    particle stops moving once its value is within rounding error.  A
-    given ``evaluate`` must be accurate to double resolution near the
-    roots (the triangle recursion is): no particle is frozen, every one
-    moves until the step test passes, and conjugate candidates merge only
-    within 1e-9.  The coefficients still give the initial guesses (their
+    guesses and the default evaluator) or anything ``complex`` accepts;
+    the leading coefficient must be nonzero.  ``evaluate(z)`` returns the
+    values and derivatives at an array of points, accurate to double
+    resolution near the roots (the triangle recursion is); the default
+    evaluates ``coeffs`` exactly and rounds each value once
+    (``_exact_evaluator``).  Every particle moves until the step test
+    passes, and conjugate candidates of real coefficients merge only
+    within 1e-9.  The coefficients also give the initial guesses (their
     companion-matrix eigenvalues, about the root centroid for ints, see
     ``_initial_guesses``) and, as doubles, the overflow probe and the
     residuals.  The restart circle is the circle of the largest initial
@@ -256,15 +301,10 @@ def all_roots(
     else:
         c = np.array(cs, dtype=complex)
         abs_rev = np.abs(c[::-1])
-        noisy = evaluate is None
-        if noisy:
-            evaluate = _horner(c)
+        if evaluate is None:
+            evaluate = _exact_evaluator(exact)
         elif zero_roots:
             evaluate = _deflated(evaluate, len(zero_roots))
-
-        def noise(z):
-            # Rounding bound of Horner's rule; 0 for an accurate evaluator.
-            return 8.0 * np.finfo(float).eps * np.polyval(abs_rev, np.abs(z)) if noisy else 0.0
 
         def newton_ratio(z):
             # A ratio that is not finite (P overflowing, P' vanishing) is
@@ -272,7 +312,7 @@ def all_roots(
             with np.errstate(all="ignore"):
                 pz, dpz = evaluate(z)
                 newton = pz / dpz
-            return pz, np.where(np.isfinite(newton), newton, np.nan)
+            return np.where(np.isfinite(newton), newton, np.nan)
 
         z = _initial_guesses(exact)
         # P is finite on the circle of the largest initial guess, or the
@@ -287,19 +327,16 @@ def all_roots(
         escape_rotation = 0.0
         settled = False
         for _ in range(_MAX_ITER):
-            pz, newton = newton_ratio(z)
+            newton = newton_ratio(z)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
             inv = 1.0 / diff
             np.fill_diagonal(inv, 0.0)
             sums = inv.sum(axis=1)
-            # Freeze a particle once |p(z)| is dominated by rounding
-            # error: stepping it further only chases evaluation noise.
-            frozen = np.abs(pz) <= noise(z)
             with np.errstate(all="ignore"):
                 denom = 1.0 - newton * sums
                 denom = np.where(denom == 0, 1e-300, denom)
-                step = np.where(frozen, 0.0, newton / denom)
+                step = newton / denom
             z = z - step
             # The restart rule (see the docstring).  Each restarted
             # particle gets its own angle, so NaN ones cannot coincide.
@@ -310,19 +347,15 @@ def all_roots(
                 angles = np.angle(np.nan_to_num(z[runaway])) + escape_rotation + spread
                 z[runaway] = restart * np.exp(1j * angles)
                 continue
-            if np.all(frozen | (np.abs(step) <= _STEP_TOL * (1.0 + np.abs(z)))):
+            if np.all(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(z))):
                 settled = True
                 break
-        # Newton polish, for a run that did not settle, of the particles
-        # still above the noise floor.
+        # Newton polish, for a run that did not settle.
         for _ in range(0 if settled else 3):
-            pz, newton = newton_ratio(z)
-            mask = (np.abs(pz) > noise(z)) & np.isfinite(newton)
-            z = np.where(mask, z - newton, z)
+            newton = newton_ratio(z)
+            z = np.where(np.isfinite(newton), z - newton, z)
         if np.all(np.isreal(c)):
-            # Accurate evaluation leaves errors near double resolution, so
-            # it merges only much closer conjugate candidates.
-            z = _symmetrize_conjugates(z, tol=1e-6 if noisy else 1e-9)
+            z = _symmetrize_conjugates(z, tol=1e-9)
         roots_arr = z
     res = _scaled_residuals(np.array(cs, dtype=complex), roots_arr) if deg else np.array([])
     converged = not deg or float(np.max(res)) < _CONVERGED_RESIDUAL
@@ -339,12 +372,11 @@ def all_roots(
 
 
 def roots(p: Poly, slope: Optional[Slope] = None, ring: str = "parabolic") -> RootSet:
-    """Root set of an arbitrary polynomial, by double Horner evaluation.
+    """Root set of an arbitrary polynomial with int or double coefficients.
 
-    The initial guesses come from the exact coefficients; Horner's rule
-    runs on doubles, so it warns when an integer past 2**53 loses bits.
+    ``all_roots``'s default evaluator takes the coefficients exactly, ints
+    past 2**53 included, so nothing is lost to a double conversion.
     """
-    to_complex_coeffs(p)
     rs, res, ok = all_roots(p.coeffs)
     return RootSet(slope=slope, ring=ring, roots=rs, residuals=res, converged=ok)
 

@@ -1,6 +1,8 @@
 import cmath
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,8 +97,9 @@ def test_roots_whose_coefficient_ratios_pass_double_range():
 
 
 # The nudge, the step floor and the near-real snap are absolute for
-# |z| < 1, so roots of modulus 1e-10 or 1e-6 come back with residual 1.0;
-# the converged flag must say so, whatever the step test said.
+# |z| < 1.  The exact default evaluator still resolves roots of modulus
+# 1e-6, but roots of modulus 1e-10 come back as +-1e-28 with residual
+# 1.0; the converged flag must say so, whatever the step test said.
 def test_tiny_roots_do_not_warn_and_are_not_converged():
     # Particles must not coincide in the Aberth sums' divisions.
     with warnings.catch_warnings():
@@ -105,9 +108,10 @@ def test_tiny_roots_do_not_warn_and_are_not_converged():
     assert len(found) == 2 and not converged
 
 
-def test_tiny_roots_that_pass_the_step_test_are_not_converged():
+def test_roots_of_modulus_1e_6_are_resolved():
     rs = pleating.roots(Poly([1e-12, 0, 1]))
-    assert max(rs.residuals) >= 1e-10 and rs.converged is False
+    assert rs.roots == pytest.approx([-1e-6j, 1e-6j], rel=1e-15)
+    assert max(rs.residuals) < 1e-15 and rs.converged
 
 
 def test_roots_rejects_overflowing_evaluation():
@@ -152,14 +156,70 @@ def test_taylor_shift_is_exact_on_ints():
     assert pleating._taylor_shift([5, -2, 7], 0) == [5, -2, 7]
 
 
-def test_roots_horner_path_finds_distinct_roots():
-    # 1/24: about z = 0 the companion guesses of P + 2 were wrong enough
-    # that Horner polishing sent two of them to one root.
-    s = S("1/24")
-    horner = np.array(pleating.roots(farey_polynomial(s) + Poly([2]), s).roots)
+# roots(p) on the expanded coefficients against the recursion-evaluated
+# roots.  1/24: about z = 0 the companion guesses of P + 2 were wrong
+# enough that double Horner polishing sent two of them to one root.  1/44
+# and 2/49 have coefficients past 2**53; double Horner froze particles at
+# its noise floor, 2/49's up to 1.77 from the nearest root.
+@pytest.mark.parametrize("s", [S("1/24"), S("1/44"), S("2/49")], ids=["1/24", "1/44", "2/49"])
+def test_roots_finds_the_recursion_roots(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = np.array(pleating.roots(farey_polynomial(s) + Poly([2]), s).roots)
     accurate = np.array(pleating.cusp_candidates(s).roots)
-    nearest = np.abs(horner[:, None] - accurate[None, :]).argmin(axis=1)
-    assert len(set(nearest)) == len(horner) == s.q
+    dist = np.abs(found[:, None] - accurate[None, :])
+    assert len(set(dist.argmin(axis=1).tolist())) == len(found) == s.q
+    assert np.all(dist.min(axis=1) <= 1e-12 * np.maximum(1.0, np.abs(found)))
+
+
+def _fraction_horner(coeffs, z):
+    """Exact P(z) as (real, imag) Fractions, by Horner's rule on
+    coefficients given as (real, imag) Fractions."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re = im = Fraction(0)
+    for cr, ci in reversed(coeffs):
+        re, im = re * x - im * y + cr, re * y + im * x + ci
+    return re, im
+
+
+def _random_coeffs(rng, kind, n):
+    if kind == "int":
+        return [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 200)) for _ in range(n)]
+    if kind == "complex":
+        return [complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(n)]
+    return [rng.uniform(-10, 10) * 10.0 ** rng.randint(-300, 299) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["int", "complex", "wide"])
+def test_exact_evaluator_rounds_once(kind):
+    # Ints past 2**53, complex doubles and doubles from 1e-300 to 1e300:
+    # P and P' are the correctly rounded exact values, bit for bit.
+    rng = random.Random(12)
+    for _ in range(40):
+        coeffs = _random_coeffs(rng, kind, rng.randint(2, 9))
+        if coeffs[-1] == 0:
+            coeffs[-1] = 1
+        exact = [(Fraction(c.real), Fraction(c.imag)) for c in coeffs]
+        deriv = [(k * cr, k * ci) for k, (cr, ci) in enumerate(exact)][1:]
+        z = [0j, complex(rng.uniform(-2, 2), 0.0)] + [
+            cmath.rect(10.0 ** rng.uniform(-3, 0.3), rng.uniform(-math.pi, math.pi))
+            for _ in range(6)
+        ]
+        p, dp = pleating._exact_evaluator(coeffs)(np.array(z))
+        for k, w in enumerate(z):
+            for got, poly in ((p[k], exact), (dp[k], deriv)):
+                re, im = _fraction_horner(poly, w)
+                want = (float(re).hex(), float(im).hex())
+                assert (got.real.hex(), got.imag.hex()) == want, (coeffs, w)
+
+
+def test_exact_evaluator_overflows_to_infinity():
+    # 1e300 z^2 at |z| = 1e10 is 1e320: infinite, not an OverflowError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, dp = pleating._exact_evaluator([0, 0, 1e300])(np.array([1e10 + 0j, -1e10j]))
+    assert p[0].real == math.inf and p[1].real == -math.inf
+    assert dp[0].real == math.inf and dp[1].imag == -math.inf
 
 
 def test_cusp_candidates_iteration_budget(monkeypatch):
@@ -367,14 +427,23 @@ def test_dynsys_report():
     assert sum("char poly" in n for n in names) == 2
 
 
-def test_roots_warns_on_lossy_inexact_input():
-    with pytest.warns(UserWarning, match=r"2\*\*53"):
-        pleating.roots(Poly([2**60, 1j, 1]))
+def test_roots_of_integer_input_past_double_range_are_exact_and_do_not_warn():
+    # The default evaluator takes 2**60 exactly: the 1 beside it is not lost.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = pleating.roots(Poly([2**60, 1, 1]))
+    assert rs.roots == pytest.approx([-0.5 - 2**30 * 1j, -0.5 + 2**30 * 1j], abs=1e-12)
+    assert rs.residuals == [0.0, 0.0] and rs.converged
 
 
-def test_roots_warns_on_integer_input_past_double_range():
-    with pytest.warns(UserWarning, match=r"2\*\*53"):
-        pleating.roots(Poly([2**60, 1, 1]))
+def test_roots_of_complex_input_past_2_53_are_exact_and_do_not_warn():
+    # A complex coefficient beside an int past 2**53: the roots keep Vieta's
+    # sum -1j and product 2**60.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cx = pleating.roots(Poly([2**60, 1j, 1]))
+    assert sum(cx.roots) == pytest.approx(-1j, abs=1e-12)
+    assert abs(cx.roots[0] * cx.roots[1] - 2**60) < 1e-3
 
 
 def test_exact_coefficients_past_double_range_do_not_warn():
