@@ -35,11 +35,15 @@ the sum of the absolute coefficients of each entry, so w is that bound's
 bit length plus a sign bit, rounded up to whole bytes.  The decoder
 reads slots of up to 8 bytes through numpy and wider ones (from q = 46
 on Farey words) byte by byte.
+
+A generic word matrix keeps the four packed ints and decodes an entry
+only when it is first read.  Its trace is one decode of the packed
+a + d: both entries put alpha_shift 0 on their slots, so their packed
+ints add slot by slot, and the majorant bounds the trace's coefficients
+through a + d.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,13 +64,45 @@ __all__ = [
     "quotient_constant",
 ]
 
-class Mat2(NamedTuple):
-    """Row-major 2x2 matrix with polynomial entries."""
+class Mat2:
+    """Row-major 2x2 matrix with polynomial entries.
 
-    a: Poly
-    b: Poly
-    c: Poly
-    d: Poly
+    Read the entries as ``.a`` to ``.d`` or by unpacking; ``==`` compares
+    them.  A generic word matrix (see ``_packed_word_matrix``) keeps its
+    four Kronecker-packed ints and decodes an entry when it is first read;
+    its trace is one decode of the packed a + d.  Decoding is pure, so two
+    threads that read an entry at once store equal values.
+    """
+
+    __slots__ = ("_entries", "_packed")
+
+    def __init__(self, a: Poly, b: Poly, c: Poly, d: Poly):
+        self._entries = [a, b, c, d]
+        # (a, b, c, d, n_x, n_y, slot bytes, slot bias) of a packed matrix
+        self._packed = None
+
+    def _entry(self, i: int) -> Poly:
+        e = self._entries[i]
+        if e is None:
+            n_x, n_y, size, bias = self._packed[4:]
+            e = self._entries[i] = _unpack(self._packed[i] + bias, _ALPHA_SHIFTS[i], n_x, n_y, size)
+        return e
+
+    a = property(lambda self: self._entry(0))
+    b = property(lambda self: self._entry(1))
+    c = property(lambda self: self._entry(2))
+    d = property(lambda self: self._entry(3))
+
+    def __iter__(self):
+        return map(self._entry, range(4))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Mat2):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return "Mat2({!r}, {!r}, {!r}, {!r})".format(*self)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         a1, b1, c1, d1 = self
@@ -80,11 +116,18 @@ class Mat2(NamedTuple):
 
     @property
     def trace(self) -> Poly:
-        return self.a + self.d
+        if self._packed is None:
+            return self.a + self.d
+        a, _, _, d, n_x, n_y, size, bias = self._packed
+        return _unpack(a + d + bias, 0, n_x, n_y, size)
 
     @property
     def det(self) -> Poly:
         return self.a * self.d - self.b * self.c
+
+
+# Entry (r, c) of a packed word matrix has alpha_shift c - r (see ``_unpack``).
+_ALPHA_SHIFTS = (0, 1, -1, 0)
 
 
 # alpha, alpha^-1, beta, beta^-1 and one as generic coefficients.
@@ -121,11 +164,12 @@ def gen_matrix(letter: Letter, ring: RingSpec = "generic") -> Mat2:
 def word_matrix(w: Word, ring: RingSpec = "generic") -> Mat2:
     """Left-to-right product of the letter matrices.
 
-    The generic ring multiplies four Kronecker-packed integers and decodes
-    them (see the module docstring); the parabolic and numeric rings
-    multiply ``Mat2`` values, building each distinct letter's matrix once
-    per call.  Either way the result equals the letter-by-letter ``Mat2``
-    product in the ring.
+    The generic ring multiplies four Kronecker-packed integers (see the
+    module docstring) and returns them undecoded: each entry decodes when
+    it is first read, and ``.trace`` decodes the packed a + d alone.  The
+    parabolic and numeric rings multiply ``Mat2`` values, building each
+    distinct letter's matrix once per call.  Either way the result equals
+    the letter-by-letter ``Mat2`` product in the ring.
     """
     ring = Ring.parse(ring)
     if ring.name == "generic":
@@ -138,7 +182,7 @@ def word_matrix(w: Word, ring: RingSpec = "generic") -> Mat2:
 
 
 def _packed_word_matrix(chars: str) -> Mat2:
-    """The generic word matrix by Kronecker substitution."""
+    """The generic word matrix by Kronecker substitution, left packed (see ``Mat2``)."""
     n_x = chars.count("X") + chars.count("x")
     n_y = len(chars) - n_x
     size = _slot_bytes(chars)
@@ -155,11 +199,9 @@ def _packed_word_matrix(chars: str) -> Mat2:
             a, c = (a << b_shift) + (b << t_shift), (c << b_shift) + (d << t_shift)
         else:
             a, b, c, d = a - (b << t_shift), b << b_shift, c - (d << t_shift), d << b_shift
-    bias = slot_bias((n_x + 1) * (n_y + 1) ** 2, size)
-    return Mat2(*(
-        _unpack(v + bias, alpha_shift, n_x, n_y, size)
-        for v, alpha_shift in ((a, 0), (b, 1), (c, -1), (d, 0))
-    ))
+    m = Mat2(None, None, None, None)
+    m._packed = (a, b, c, d, n_x, n_y, size, slot_bias((n_x + 1) * (n_y + 1) ** 2, size))
+    return m
 
 
 def _slot_bytes(chars: str) -> int:

@@ -143,7 +143,20 @@ class Laurent2:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (Laurent2, int)):
+        if isinstance(other, Laurent2):
+            b = other.terms
+            if not b:
+                return self
+            out = dict(self.terms)
+            get = out.get
+            for k, v in b.items():
+                w = get(k, 0) - v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+            return _from_terms(out)
+        if isinstance(other, int):
             return self + (-other)
         return NotImplemented
 
@@ -249,7 +262,12 @@ class Poly:
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a)
+        for i, c in enumerate(b[: len(a)]):
+            out[i] = out[i] - c
+        out.extend(-c for c in b[len(a) :])
+        return Poly(out)
 
     def __mul__(self, other):
         """Product with a Poly, or scaling by anything else.

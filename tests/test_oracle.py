@@ -1,5 +1,8 @@
 import ast
 import decimal
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -157,6 +160,69 @@ def test_unpack_decodes_extreme_slot_values(size):
             expected[k][(2 * m + k + alpha_shift - n_x, 2 * n + k - n_y)] = v
     got = oracle._unpack(packed + bias, alpha_shift, n_x, n_y, size)
     assert got == Poly([Laurent2(t) for t in expected])
+
+
+@pytest.mark.parametrize(
+    "text, slot_bytes",
+    [("1/13", 3), ("1/25", 5), ("1/45", 8), ("1/50", 9), ("(XY)^48", 9), ("q <= 24", None)],
+)
+def test_packed_trace_is_one_decode_of_a_plus_d(monkeypatch, text, slot_bytes):
+    if text == "q <= 24":
+        words = [farey_word(s) for s in enumerate_farey(24) if not s.is_infinite]
+    else:
+        words = [Word.from_string("XY" * 48) if text == "(XY)^48" else farey_word(S(text))]
+        assert oracle._slot_bytes(str(words[0])) == slot_bytes
+    decodes = []
+    unpack = oracle._unpack
+
+    def counted(*args):
+        decodes.append(args[1])
+        return unpack(*args)
+
+    monkeypatch.setattr(oracle, "_unpack", counted)
+    for w in words:
+        want = reference_word_matrix(w)
+        # The trace first: one decode, of a slot layout with alpha_shift 0.
+        decodes.clear()
+        m = oracle.word_matrix(w)
+        trace = m.trace
+        assert decodes == [0], w
+        assert trace == want.a + want.d, w
+        assert [m.a, m.b, m.c, m.d] == list(want), w
+        assert m.trace == trace, w
+        # The entries first, then the trace.
+        m = oracle.word_matrix(w)
+        assert list(m) == list(want), w
+        assert m.trace == trace, w
+
+
+def test_lazy_entries_under_concurrent_reads():
+    # Four threads, released together and switching every few
+    # microseconds, read one shared packed matrix in rotated orders, so
+    # that they race to decode and store the same entries.
+    w = farey_word(S("5/12"))
+    ref = reference_word_matrix(w)
+    want = {"a": ref.a, "b": ref.b, "c": ref.c, "d": ref.d, "trace": ref.trace}
+    names = list(want)
+    start = threading.Barrier(4)
+
+    def work(m, k):
+        start.wait(timeout=60)
+        return [(name, getattr(m, name)) for name in names[k:] + names[:k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(20):
+                m = oracle.word_matrix(w)
+                futures = [pool.submit(work, m, k) for k in range(4)]
+                for f in futures:
+                    for name, value in f.result(timeout=60):
+                        assert value == want[name], name
+                assert m == ref
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_oracle_polynomials_basic():

@@ -240,6 +240,43 @@ def test_generic_poly_product_matches_the_double_loop(a, b):
         assert [terms_of(c) for c in rings._packed_product(a.coeffs, b.coeffs).coeffs] == want
 
 
+def _snapshot(x):
+    if isinstance(x, Poly):
+        return [dict(terms_of(c)) for c in x.coeffs]
+    return dict(terms_of(x))
+
+
+# Laurent2 and int operands, polynomials of either, and pairs whose
+# difference cancels to zero, in whole or in its top coefficients.
+subtraction_pairs = st.one_of(
+    st.tuples(operands, operands),
+    laurents.map(lambda x: (x, x)),
+    st.tuples(generic_polys, st.one_of(generic_polys, small_polys)),
+    st.tuples(small_polys, generic_polys),
+    generic_polys.map(lambda p: (p, p)),
+    st.tuples(generic_polys, generic_polys).map(lambda t: (t[0] + t[1], t[0])),
+)
+
+
+@settings(max_examples=300)
+@given(subtraction_pairs)
+@example((Poly([Laurent2.const(4)]), oracle.farey_polynomial(Slope(5, 12))))
+@example((oracle.farey_polynomial(Slope(5, 12)), oracle.farey_polynomial(Slope(1, 3))))
+@example((Laurent2.const(2), 2))
+def test_subtraction_is_adding_the_negation(pair):
+    x, y = pair
+    before = _snapshot(x), _snapshot(y)
+    got = x - y
+    assert got == x + (-y)
+    if isinstance(got, Poly):
+        assert not got.coeffs or got.coeffs[-1], "a trailing zero is stored"
+        assert all(all(terms_of(c).values()) for c in got.coeffs), "a zero coefficient is stored"
+    elif isinstance(got, Laurent2):
+        assert all(got.terms.values()), "a zero coefficient is stored"
+    # The zero fast path may return an operand; no path may write to one.
+    assert (_snapshot(x), _snapshot(y)) == before
+
+
 def test_wide_packed_product_decodes_past_int64():
     got = _WIDE * _WIDE
     assert max(abs(v) for c in got.coeffs for v in c.terms.values()) == 2**140
