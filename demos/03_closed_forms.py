@@ -24,7 +24,7 @@ for z0 in (1, 2, 3):
 print("  z=4: no cycle, arithmetic steps of 4:",
       [frf.left_sequence(4, q, a0=2, a1=6, constant=0) for q in range(6)])
 
-print("\nshifted Chebyshev comparison (exact match for all q here):")
+print("\nthe 1/q fan against 2 T_q(x) + 4 U_(q-1)(x), x = (z - 2)/2:")
 ok = all(frf.chebyshev_match(q, 2.7) for q in range(25))
 print(f"  chebyshev_match(q, 2.7) for q < 25: {ok}")
 

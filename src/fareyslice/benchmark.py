@@ -84,8 +84,9 @@ def _targets(path_kind: str, size: int) -> Slope:
     raise ValueError("path kind must be 'left' or 'fibonacci'")
 
 
-def _gate(path_kind: str, limit_q: int = 8) -> int:
+def _gate(path_kind: str) -> int:
     """Exact generic-ring equality of both methods on small slopes."""
+    limit_q = 8
     engine = FareyPolynomialEngine("generic")
     checked = 0
     if path_kind == "left":

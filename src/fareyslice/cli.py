@@ -284,7 +284,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FareySliceError) as exc:
+    except (ValueError, OverflowError, FareySliceError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
 

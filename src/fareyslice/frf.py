@@ -19,7 +19,10 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DegenerateEigenvalues, SingularParameter
+from .pleating import _exact_evaluator
 from .recursion import descend, homogeneous_farey_polynomial
 from .rings import Poly, exact_div
 from .slopes import INFINITY, ONE, ZERO, Slope, boundary_sequence, ominus, parents
@@ -256,9 +259,17 @@ def closed_form_triangle(beta0: Slope, beta1: Slope, n: int, z: complex) -> comp
 
 def chebyshev_T(n: int) -> Poly:
     """First-kind Chebyshev polynomial by the three-term recurrence."""
+    return _chebyshev(n, Poly([0, 1]))
+
+
+def _chebyshev(n: int, first: Poly) -> Poly:
+    """P_n for P_0 = 1, P_1 = ``first`` and P_(k+1) = 2x P_k - P_(k-1).
+
+    ``first`` = x gives the first kind T_n, 2x the second kind U_n.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    prev, cur = Poly([1]), Poly([0, 1])
+    prev, cur = Poly([1]), first
     if n == 0:
         return prev
     two_x = Poly([0, 2])
@@ -268,21 +279,20 @@ def chebyshev_T(n: int) -> Poly:
 
 
 def chebyshev_match(q: int, z: complex, tol: float = 1e-9) -> bool:
-    """Does the homogeneous 1/q value equal the shifted Chebyshev-type term?
+    """Does the homogeneous 1/q value equal 2 T_q(x) + 4 U_(q-1)(x)?
 
-    The comparison sequence follows the Chebyshev recurrence with seeds
-    2 and 2x + 4, evaluated at x = (z - 2)/2.  (The seed 2 is forced by
-    the degree-0 fan value; a linear seed would contradict the quadratic
-    fan entry.)
+    Here x = (z - 2)/2, and T and U are the Chebyshev polynomials of the
+    first and second kind (U_(-1) = 0), evaluated exactly and rounded
+    once: their integer coefficients cancel too much for double Horner
+    near x in [-1, 1].  The left side runs the fan recurrence from the
+    trace seeds 2 and 2 + z.
     """
     if q < 0:
         raise ValueError("q must be >= 0")
-    x = (complex(z) - 2) / 2
-    prev, cur = complex(2), 2 * x + 4
-    w = prev if q == 0 else cur
-    for _ in range(max(0, q - 1)):
-        prev, cur = cur, 2 * x * cur - prev
-        w = cur
+    rhs = chebyshev_T(q).scale(2)
+    if q:
+        rhs = rhs + _chebyshev(q - 1, Poly([0, 2])).scale(4)
+    w = _exact_evaluator(rhs.coeffs)(np.array([(complex(z) - 2) / 2]))[0][0] if q else 2
     lhs = complex(left_sequence(z, q, a0=2, a1=2 + z, constant=0))
     scale = max(1.0, abs(lhs))
     return abs(lhs - w) <= tol * scale

@@ -5,10 +5,10 @@ of the word matrix directly from the generator matrices, so it serves as
 an independent oracle for everything the recursion engine produces.  It
 shares no polynomial multiplication with the recursion either: the
 generic ring steps packed integers letter by letter with shifts and adds,
-not ``Poly`` products.  The one piece the two share is the slot decoder
-``rings.unpack_laurent_poly``, through which the recursion's packed
-``Laurent2`` products decode too; its tests check it against explicit
-slot values and the products against a term-by-term double loop.
+not ``Poly`` products.  The one piece the two share is the slot layout
+``rings.Slots``, through which the recursion's packed ``Laurent2``
+products decode too; its tests check it by a round trip and the products
+against a term-by-term double loop.
 
 The generator matrices are upper/lower triangular with unit determinant;
 their entries are polynomials in the trace variable whose coefficients
@@ -25,30 +25,30 @@ A = alpha^2, B = beta^2 and T = alpha beta z:
     X -> [[A, 1], [0, 1]]    x -> [[1, -1], [0, A]]
     Y -> [[B, 0], [T, 1]]    y -> [[1, 0], [-T, B]]
 
-With T = 2^w, B = 2^(w (n_y + 1)) and A = 2^(w (n_y + 1)^2), for n_x and
-n_y letters of X and Y type, each monomial of an entry owns one w-bit
-slot of a Python int, and a letter step is a few shifts and adds of
-four ints.  That arithmetic is exact for any w; only decoding needs every
-coefficient to fit its slot.  The majorant bounds them: the same product
-of the sign-free patterns [[1, 1], [0, 1]] and [[1, 0], [1, 1]] bounds
-the sum of the absolute coefficients of each entry, so w is that bound's
-bit length plus a sign bit, rounded up to whole bytes.  The decoder
-reads slots of up to 8 bytes through numpy and wider ones (from q = 46
-on Farey words) byte by byte.
+Entry (r, c) of a product of n_x letters of X type and n_y of Y type is
+alpha^(c - r - n_x) beta^(-n_y) times a polynomial of degree at most n_x
+in A and n_y in B and T.  That box is a ``rings.Slots`` layout with
+halved sheared exponents, in which T, A and B are left shifts by the
+layout's strides, so a letter step is a few shifts and adds of four
+ints.  That arithmetic is exact for any slot width; only decoding needs
+every coefficient to fit its slot.  The majorant bounds them: the same
+product of the sign-free patterns [[1, 1], [0, 1]] and [[1, 0], [1, 1]]
+bounds the sum of the absolute coefficients of each entry, and sets the
+slot width.
 
 A generic word matrix keeps the four packed ints and decodes an entry
 only when it is first read.  Its trace is one decode of the packed
-a + d: both entries put alpha_shift 0 on their slots, so their packed
-ints add slot by slot, and the majorant bounds the trace's coefficients
-through a + d.
+a + d: both entries have the same offsets, so their packed ints add
+slot by slot, and the majorant bounds the trace's coefficients through
+a + d.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
 from .errors import FormalVertex, NotNeighbours
-from .rings import Laurent2, Poly, Ring, RingSpec, slot_bias, unpack_laurent_poly
+from .rings import Laurent2, Poly, Ring, RingSpec, Slots
 from .slopes import Slope, is_neighbor
 from .words import Letter, Word, farey_word
 
@@ -68,24 +68,31 @@ class Mat2:
     """Row-major 2x2 matrix with polynomial entries.
 
     Read the entries as ``.a`` to ``.d`` or by unpacking; ``==`` compares
-    them.  A generic word matrix (see ``_packed_word_matrix``) keeps its
-    four Kronecker-packed ints and decodes an entry when it is first read;
-    its trace is one decode of the packed a + d.  Decoding is pure, so two
-    threads that read an entry at once store equal values.
+    them.  A generic word matrix decodes its packed entries on read (see
+    the module docstring).  Decoding is pure, so two threads that read an
+    entry at once store equal values.
     """
 
     __slots__ = ("_entries", "_packed")
 
     def __init__(self, a: Poly, b: Poly, c: Poly, d: Poly):
         self._entries = [a, b, c, d]
-        # (a, b, c, d, n_x, n_y, slot bytes, slot bias) of a packed matrix
+        # (a, b, c, d, layout of a and d) of a packed matrix
         self._packed = None
+
+    @classmethod
+    def _decoded_on_read(cls, packed: tuple) -> "Mat2":
+        """The matrix of the packed ints and layout (a, b, c, d, layout)."""
+        m = cls.__new__(cls)
+        m._entries, m._packed = [None] * 4, packed
+        return m
 
     def _entry(self, i: int) -> Poly:
         e = self._entries[i]
         if e is None:
-            n_x, n_y, size, bias = self._packed[4:]
-            e = self._entries[i] = _unpack(self._packed[i] + bias, _ALPHA_SHIFTS[i], n_x, n_y, size)
+            layout = self._packed[4]
+            layout = replace(layout, x0=layout.x0 + _ALPHA_SHIFTS[i])
+            e = self._entries[i] = layout.unpack(self._packed[i])
         return e
 
     a = property(lambda self: self._entry(0))
@@ -118,15 +125,16 @@ class Mat2:
     def trace(self) -> Poly:
         if self._packed is None:
             return self.a + self.d
-        a, _, _, d, n_x, n_y, size, bias = self._packed
-        return _unpack(a + d + bias, 0, n_x, n_y, size)
+        a, _, _, d, layout = self._packed
+        return layout.unpack(a + d)
 
     @property
     def det(self) -> Poly:
         return self.a * self.d - self.b * self.c
 
 
-# Entry (r, c) of a packed word matrix has alpha_shift c - r (see ``_unpack``).
+# Entry (r, c) of a packed word matrix has its alpha exponents shifted by
+# c - r from those of a and d (see the module docstring).
 _ALPHA_SHIFTS = (0, 1, -1, 0)
 
 
@@ -164,12 +172,11 @@ def gen_matrix(letter: Letter, ring: RingSpec = "generic") -> Mat2:
 def word_matrix(w: Word, ring: RingSpec = "generic") -> Mat2:
     """Left-to-right product of the letter matrices.
 
-    The generic ring multiplies four Kronecker-packed integers (see the
-    module docstring) and returns them undecoded: each entry decodes when
-    it is first read, and ``.trace`` decodes the packed a + d alone.  The
-    parabolic and numeric rings multiply ``Mat2`` values, building each
-    distinct letter's matrix once per call.  Either way the result equals
-    the letter-by-letter ``Mat2`` product in the ring.
+    The generic ring steps four Kronecker-packed integers, decoded on read
+    (see the module docstring).  The parabolic and numeric rings multiply
+    ``Mat2`` values, building each distinct letter's matrix once per call.
+    Either way the result equals the letter-by-letter ``Mat2`` product in
+    the ring.
     """
     ring = Ring.parse(ring)
     if ring.name == "generic":
@@ -185,10 +192,8 @@ def _packed_word_matrix(chars: str) -> Mat2:
     """The generic word matrix by Kronecker substitution, left packed (see ``Mat2``)."""
     n_x = chars.count("X") + chars.count("x")
     n_y = len(chars) - n_x
-    size = _slot_bytes(chars)
-    t_shift = 8 * size
-    b_shift = t_shift * (n_y + 1)
-    a_shift = b_shift * (n_y + 1)
+    layout = Slots(n_y + 1, n_x + 1, n_y + 1, -n_x, -n_y, 1, _slot_bytes(chars))
+    t_shift, a_shift, b_shift = layout.strides
     a, b, c, d = 1, 0, 0, 1
     for ch in chars:
         if ch == "X":
@@ -199,40 +204,19 @@ def _packed_word_matrix(chars: str) -> Mat2:
             a, c = (a << b_shift) + (b << t_shift), (c << b_shift) + (d << t_shift)
         else:
             a, b, c, d = a - (b << t_shift), b << b_shift, c - (d << t_shift), d << b_shift
-    m = Mat2(None, None, None, None)
-    m._packed = (a, b, c, d, n_x, n_y, size, slot_bias((n_x + 1) * (n_y + 1) ** 2, size))
-    return m
+    return Mat2._decoded_on_read((a, b, c, d, layout))
 
 
 def _slot_bytes(chars: str) -> int:
-    """Bytes per packed slot for the word ``chars``.
-
-    The sign-free product bounds every coefficient of every entry and of
-    the trace; one spare bit holds the sign, and slots are whole bytes.
-    """
+    """Bytes per packed slot for the word ``chars``: the sign-free product
+    bounds every coefficient of every entry and of the trace."""
     a, b, c, d = 1, 0, 0, 1
     for ch in chars:
         if ch in "Xx":
             b, d = a + b, c + d
         else:
             a, c = a + b, c + d
-    return (max(a + d, b, c).bit_length() + 8) // 8
-
-
-def _unpack(v: int, alpha_shift: int, n_x: int, n_y: int, size: int) -> Poly:
-    """The entry packed in ``v``, biased, in slots of ``size`` bytes.
-
-    Entry (r, c) has alpha_shift = c - r; slot A^m B^n T^k holds the
-    coefficient of z^k alpha^(2m + k + c - r - n_x) beta^(2n + k - n_y).
-    """
-    ny1 = n_y + 1
-
-    def exponents(where):
-        m, rest = np.divmod(where, ny1 * ny1)
-        n, k = np.divmod(rest, ny1)
-        return k, 2 * m + k + (alpha_shift - n_x), 2 * n + k - n_y
-
-    return unpack_laurent_poly(v, (n_x + 1) * ny1 * ny1, size, exponents, ny1)
+    return Slots.width(max(a + d, b, c))
 
 
 def farey_polynomial(s: Slope, ring: RingSpec = "generic") -> Poly:

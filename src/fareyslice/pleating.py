@@ -65,19 +65,17 @@ class RootSet:
         return len(self.roots)
 
 
-def _symmetrize_conjugates(z: np.ndarray, tol: float) -> np.ndarray:
+def _symmetrize_conjugates(z: np.ndarray) -> np.ndarray:
     """Pair roots of a real polynomial into exact conjugate pairs.
 
     Near-real roots are snapped onto the axis.  Each upper root is then
     matched with the lower root nearest its conjugate, and a pair that is
-    each other's nearest and within ``tol`` (relative) is averaged, which
-    only moves each root by about its own error; other roots are left
-    alone.  ``tol`` must stay below the closest genuine root separation or
-    distinct roots would be merged; ``all_roots``, whose evaluators are
-    accurate to double resolution, uses 1e-9.
+    each other's nearest and within ``_CONJUGATE_TOL`` (relative) is
+    averaged, which only moves each root by about its own error; other
+    roots are left alone.
     """
     z = z.copy()
-    near_real = np.abs(z.imag) <= tol * (1.0 + np.abs(z))
+    near_real = np.abs(z.imag) <= _CONJUGATE_TOL * (1.0 + np.abs(z))
     z[near_real] = z[near_real].real
     upper = np.flatnonzero(~near_real & (z.imag > 0))
     lower = np.flatnonzero(~near_real & (z.imag < 0))
@@ -86,7 +84,7 @@ def _symmetrize_conjugates(z: np.ndarray, tol: float) -> np.ndarray:
         nearest = dist.argmin(axis=1)
         rows = np.arange(upper.size)
         paired = (dist.argmin(axis=0)[nearest] == rows) & (
-            dist[rows, nearest] <= tol * (1.0 + np.abs(z[upper]))
+            dist[rows, nearest] <= _CONJUGATE_TOL * (1.0 + np.abs(z[upper]))
         )
         up, low = upper[paired], lower[nearest[paired]]
         avg = (z[up] + z[low].conjugate()) / 2
@@ -192,6 +190,11 @@ def _scaled_companion_roots(d: np.ndarray) -> np.ndarray:
 _MAX_ITER = 400
 _STEP_TOL = 5e-14
 _CONVERGED_RESIDUAL = 1e-10
+# The relative distance within which ``_symmetrize_conjugates`` snaps a
+# root onto the axis or pairs two roots.  It must stay below the closest
+# genuine root separation, or distinct roots would merge; the evaluators
+# of ``all_roots`` are accurate to double resolution.
+_CONJUGATE_TOL = 1e-9
 
 
 def _over_power_of_two(values) -> tuple[list[int], int]:
@@ -355,7 +358,7 @@ def all_roots(
             newton = newton_ratio(z)
             z = np.where(np.isfinite(newton), z - newton, z)
         if np.all(np.isreal(c)):
-            z = _symmetrize_conjugates(z, tol=1e-9)
+            z = _symmetrize_conjugates(z)
         roots_arr = z
     res = _scaled_residuals(np.array(cs, dtype=complex), roots_arr) if deg else np.array([])
     converged = not deg or float(np.max(res)) < _CONVERGED_RESIDUAL

@@ -13,13 +13,11 @@ and all operations are pure.  ``Poly`` multiplications are counted in a
 module-level tally so benchmark code can report exact operation counts.
 
 A ``Poly`` product over ``Laurent2`` is one CPython big-int product by
-Kronecker substitution (Schoenhage 1982; Harvey 2009), with the
-substitution T = u v z, A = u^2, B = v^2 that ``oracle`` uses for word
-matrices: each term c z^k u^i v^j owns a slot indexed by k and its
-sheared exponents i - k and j - k, halved when all are of one parity.
-Factors with at most a recursion seed's 3 terms, and all int and complex
-products, keep the coefficient double loop.  The decoder of packed slots,
-``unpack_laurent_poly``, is shared with ``oracle``'s packed word matrices.
+Kronecker substitution (Schoenhage 1982; Harvey 2009), in the slot
+layout ``Slots`` that ``oracle``'s generic word matrices use too; its
+docstring describes the layout.  Factors with at most a recursion seed's
+3 terms, and all int and complex products, keep the coefficient double
+loop.
 
 ``Laurent2`` invariant: a value stores no zero coefficient.  Its arithmetic
 allocates only the result, and its fast paths (adding zero, multiplying
@@ -34,7 +32,7 @@ import cmath
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -365,113 +363,125 @@ def _few_terms(coeffs: list) -> bool:
     return True
 
 
-def _sheared(coeffs: list) -> tuple:
-    """Every term c z^k u^i v^j as arrays k, x = i - k, y = j - k and a list of c."""
-    ks, i_s, j_s, cs = [], [], [], []
-    for k, c in enumerate(coeffs):
-        if type(c) is not Laurent2:
-            c = Laurent2.const(c)
-        if c.terms:
-            i, j = zip(*c.terms)
-            ks.extend([k] * len(i))
-            i_s.extend(i)
-            j_s.extend(j)
-            cs.extend(c.terms.values())
-    k = np.array(ks)
-    return k, np.array(i_s) - k, np.array(j_s) - k, cs
-
-
 def _packed_product(a: list, b: list) -> "Poly":
     """The product of two ``Laurent2``-coefficient polynomials as one int product.
 
-    Each term c z^k u^i v^j goes to slot (k, X, Y), where X and Y are the
-    sheared exponents i - k and j - k less their least value in the factor,
-    halved when every such difference in both factors is even (as in every
-    trace polynomial).  Slots are numbered k-major with the product's X and
-    Y ranges, so a product slot is the sum of its factors' slots and the
-    big-int product of the packed factors holds the product's coefficients
-    side by side.  No coefficient of the product exceeds S M, the sum of the
-    absolute coefficients of one factor times the largest of the other, so
-    a slot of that bit length plus a sign bit, in whole bytes, decodes
-    exactly.
+    Each factor packs in the ``Slots`` layout of the product's X and Y
+    ranges at its own least sheared exponents, halved when all lie an even
+    distance from those (as in every trace polynomial).  The product's
+    offsets are the sums of the factors', so the big-int product of the
+    packed factors is the packed product.  No coefficient of the product
+    exceeds S M, the sum of the absolute coefficients of one factor times
+    the largest of the other, which sets the slot width.
     """
-    (ka, xa, ya, ca), (kb, xb, yb, cb) = _sheared(a), _sheared(b)
-    x0a, y0a, x0b, y0b = xa.min(), ya.min(), xb.min(), yb.min()
+    ta, tb = Slots.shear(a), Slots.shear(b)
+    (_, xa, ya, ca), (_, xb, yb, cb) = ta, tb
+    x0a, y0a, x0b, y0b = int(xa.min()), int(ya.min()), int(xb.min()), int(yb.min())
     xa, ya, xb, yb = xa - x0a, ya - y0a, xb - x0b, yb - y0b
-    halve = int(not (((xa | ya) & 1).any() or ((xb | yb) & 1).any()))
-    xa, ya, xb, yb = xa >> halve, ya >> halve, xb >> halve, yb >> halve
-    nx = int(xa.max() + xb.max()) + 1
-    ny = int(ya.max() + yb.max()) + 1
+    h = int(not (((xa | ya) & 1).any() or ((xb | yb) & 1).any()))
+    nx, ny = (int(xa.max() + xb.max()) >> h) + 1, (int(ya.max() + yb.max()) >> h) + 1
     bound = min(sum(map(abs, ca)) * max(map(abs, cb)), sum(map(abs, cb)) * max(map(abs, ca)))
-    size = (bound.bit_length() + 8) // 8
-    length = len(a) + len(b) - 1
-    packed = _pack((ka * nx + xa) * ny + ya, ca, len(a) * nx * ny, size) * _pack(
-        (kb * nx + xb) * ny + yb, cb, len(b) * nx * ny, size
-    )
-    slots = length * nx * ny
-
-    def exponents(where):
-        k, rest = np.divmod(where, nx * ny)
-        x, y = np.divmod(rest, ny)
-        return k, (x << halve) + (x0a + x0b) + k, (y << halve) + (y0a + y0b) + k
-
-    return unpack_laurent_poly(packed + slot_bias(slots, size), slots, size, exponents, length)
+    product = Slots(len(a) + len(b) - 1, nx, ny, x0a + x0b, y0a + y0b, h, Slots.width(bound))
+    packed_a = replace(product, length=len(a), x0=x0a, y0=y0a).pack(ta)
+    return product.unpack(packed_a * replace(product, length=len(b), x0=x0b, y0=y0b).pack(tb))
 
 
-def slot_bias(slots: int, size: int) -> int:
-    """2^(8 size - 1) in each of ``slots`` slots of ``size`` bytes.
+@dataclass(frozen=True)
+class Slots:
+    """The Kronecker slot layout of a ``Laurent2``-coefficient polynomial in one int.
 
-    Added to signed coefficients packed side by side, it makes every slot
-    a nonnegative number below 2^(8 size), so the bytes of the sum hold
-    the slots one by one.  Package-internal, so not exported.
+    A term c z^k u^i v^j, with k < ``length``, is sheared to i - k and
+    j - k, less the offsets ``x0`` and ``y0`` and halved when ``halve`` is
+    1, giving x < ``nx`` and y < ``ny``.  It owns slot (k nx + x) ny + y,
+    k-major, and the packed int is the signed sum of c 2^(8 size slot)
+    over the terms: packed ints add slot by slot, a left shift by one of
+    ``strides`` multiplies by z u v, u^(1 + halve) or v^(1 + halve), and a
+    product of packed ints is packed in the layout with the summed ranges
+    and offsets.  Decoding is exact while every slot holds an integer in
+    [-2^(8 size - 1), 2^(8 size - 1)), as ``width`` ensures for a bound on
+    the absolute coefficients.  The sign bias, 2^(8 size - 1) in every
+    slot, makes each slot of a biased int a nonnegative number below
+    2^(8 size), so its bytes hold the slots one by one.  Package-internal,
+    so not exported.
     """
-    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
 
+    length: int
+    nx: int
+    ny: int
+    x0: int
+    y0: int
+    halve: int
+    size: int
 
-def _pack(where, values: list, slots: int, size: int) -> int:
-    """Sum of values[t] 2^(8 size where[t]): signed coefficients side by side."""
-    half = 1 << (8 * size - 1)
-    bias = slot_bias(slots, size)
-    buf = bytearray(bias.to_bytes(size * slots, "little"))
-    for w, c in zip((where * size).tolist(), values):
-        buf[w : w + size] = (c + half).to_bytes(size, "little")
-    return int.from_bytes(buf, "little") - bias
+    @staticmethod
+    def width(bound: int) -> int:
+        """Bytes per slot for |c| <= bound: bit length and sign bit, in whole bytes."""
+        return (bound.bit_length() + 8) // 8
 
+    @staticmethod
+    def shear(coeffs: list) -> tuple:
+        """Every term c z^k u^i v^j as arrays k, i - k, j - k and a list of c."""
+        ks, i_s, j_s, cs = [], [], [], []
+        for k, c in enumerate(coeffs):
+            if type(c) is not Laurent2:
+                c = Laurent2.const(c)
+            if c.terms:
+                i, j = zip(*c.terms)
+                ks.extend([k] * len(i))
+                i_s.extend(i)
+                j_s.extend(j)
+                cs.extend(c.terms.values())
+        k = np.array(ks, dtype=np.int64)
+        return k, np.array(i_s, dtype=np.int64) - k, np.array(j_s, dtype=np.int64) - k, cs
 
-def unpack_laurent_poly(v: int, slots: int, size: int, exponents, length: int) -> "Poly":
-    """The ``Laurent2``-coefficient polynomial packed, biased, in ``v``.
+    @property
+    def strides(self) -> tuple[int, int, int]:
+        """The bit shifts that multiply by z u v, u^(1 + halve) and v^(1 + halve)."""
+        bits = 8 * self.size
+        return bits * self.nx * self.ny, bits * self.ny, bits
 
-    ``v`` holds ``slots`` slots of ``size`` bytes, little-endian; each slot
-    is a coefficient plus 2^(8 size - 1) (see ``slot_bias``).
-    ``exponents(where)`` maps an array of slot numbers to arrays (k, i, j):
-    the slot's term is c z^k u^i v^j.  ``length`` is the number of
-    coefficients returned.  Slots of up to 8 bytes decode through numpy,
-    wider ones byte by byte.  Package-internal, so not exported.
-    """
-    raw = v.to_bytes(size * slots, "little")
-    rows = np.frombuffer(raw, np.uint8).reshape(slots, size)
-    if size <= 8:
-        # Each slot, zero-extended to 8 bytes, less the bias; the
-        # difference wraps in uint64 and reads back as int64.
-        wide = np.zeros((slots, 8), np.uint8)
-        wide[:, :size] = rows
-        coeffs = (wide.view("<u8")[:, 0] - np.uint64(1 << (8 * size - 1))).view(np.int64)
-        where = np.flatnonzero(coeffs)
-    else:
-        where = np.flatnonzero(rows[:, :-1].any(axis=1) | (rows[:, -1] != 0x80))
-    k, i, j = exponents(where)
-    # Group the terms by their power of z, keeping slot order.
-    order = np.argsort(k, kind="stable")
-    where, k = where[order], k[order]
-    if size <= 8:
-        values = coeffs[where].tolist()
-    else:
-        half = 1 << (8 * size - 1)
-        values = [int.from_bytes(rows[t].tobytes(), "little") - half for t in where.tolist()]
-    ends = np.searchsorted(k, np.arange(length), side="right").tolist()
-    starts = [0] + ends[:-1]
-    keys = list(zip(i[order].tolist(), j[order].tolist()))
-    return Poly([_from_terms(dict(zip(keys[lo:hi], values[lo:hi]))) for lo, hi in zip(starts, ends)])
+    def _bias(self) -> bytes:
+        """The bytes of the sign bias: every slot holding zero."""
+        return (bytes(self.size - 1) + b"\x80") * (self.length * self.nx * self.ny)
+
+    def pack(self, terms: tuple) -> int:
+        """The sheared ``terms`` (see ``shear``) as one int."""
+        k, x, y, values = terms
+        x, y = (x - self.x0) >> self.halve, (y - self.y0) >> self.halve
+        size, half, bias = self.size, 1 << (8 * self.size - 1), self._bias()
+        buf = bytearray(bias)
+        for w, c in zip((((k * self.nx + x) * self.ny + y) * size).tolist(), values):
+            buf[w : w + size] = (c + half).to_bytes(size, "little")
+        return int.from_bytes(buf, "little") - int.from_bytes(bias, "little")
+
+    def unpack(self, v: int) -> "Poly":
+        """The ``length`` coefficients packed in ``v``.
+
+        Slots of up to 8 bytes decode through numpy, wider ones byte by byte.
+        """
+        size, half, bias = self.size, 1 << (8 * self.size - 1), self._bias()
+        raw = (v + int.from_bytes(bias, "little")).to_bytes(len(bias), "little")
+        rows = np.frombuffer(raw, np.uint8).reshape(-1, size)
+        if size <= 8:
+            # Each slot, zero-extended to 8 bytes, less the bias; the
+            # difference wraps in uint64 and reads back as int64.
+            wide = np.zeros((len(rows), 8), np.uint8)
+            wide[:, :size] = rows
+            coeffs = (wide.view("<u8")[:, 0] - np.uint64(half)).view(np.int64)
+            where = np.flatnonzero(coeffs)
+            values = coeffs[where].tolist()
+        else:
+            where = np.flatnonzero(rows[:, :-1].any(axis=1) | (rows[:, -1] != 0x80))
+            values = [int.from_bytes(rows[t].tobytes(), "little") - half for t in where.tolist()]
+        block = self.nx * self.ny
+        k, rest = np.divmod(where, block)
+        x, y = np.divmod(rest, self.ny)
+        i, j = (x << self.halve) + k + self.x0, (y << self.halve) + k + self.y0
+        keys = list(zip(i.tolist(), j.tolist()))
+        # Slots run k-major, so each power of z is one run of them.
+        ends = np.searchsorted(where, block * np.arange(1, self.length + 1)).tolist()
+        runs = zip([0] + ends[:-1], ends)
+        return Poly([_from_terms(dict(zip(keys[lo:hi], values[lo:hi]))) for lo, hi in runs])
 
 
 def exact_div(x, d):

@@ -143,12 +143,13 @@ def test_usage_errors(capsys):
 
 
 def test_errors_inside_a_computation_exit_2(capsys):
-    # Both commands parse; the ValueError comes from the library call.
-    # At z = 0 and z = 4 the closed form is singular and the recurrence
-    # fallback must reject the negative q too.
-    for z in ("1", "0", "4"):
-        code, _, err = run(capsys, "closed-form", "--q", "-1", "--z", z)
-        assert code == 2 and "computation failed" in err, z
+    # Both commands parse; the error comes from the library call.  At
+    # z = 0 and z = 4 the closed form is singular and the recurrence
+    # fallback must reject the negative q too.  At q = 400, z = 10 the
+    # closed form's complex power overflows.
+    for q, z in (("-1", "1"), ("-1", "0"), ("-1", "4"), ("400", "10")):
+        code, _, err = run(capsys, "closed-form", "--q", q, "--z", z)
+        assert code == 2 and "computation failed" in err, (q, z)
     code, _, err = run(capsys, "conjecture", "--qmax", "1")
     assert code == 2 and "computation failed" in err
 

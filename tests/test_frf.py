@@ -1,5 +1,6 @@
 import cmath
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -216,6 +217,33 @@ def test_chebyshev_product_relation():
             lhs = Poly([2]) * frf.chebyshev_T(m) * frf.chebyshev_T(n)
             rhs = frf.chebyshev_T(m + n) + frf.chebyshev_T(abs(m - n))
             assert lhs == rhs
+
+
+def test_fan_polynomial_is_a_chebyshev_sum():
+    # The homogeneous 1/q polynomial is 2 T_q(x) + 4 U_(q-1)(x) at
+    # x = (z - 2)/2, exactly; U runs its own recurrence here.
+    x = Poly([Fraction(-1), Fraction(1, 2)])
+
+    def at_x(p):
+        acc = Poly()
+        for c in reversed(p.coeffs):
+            acc = acc * x + Poly([c])
+        return acc
+
+    u_prev, u = Poly(), Poly([1])
+    for q in range(31):
+        want = at_x(frf.chebyshev_T(q).scale(2) + u_prev.scale(4))
+        assert homogeneous_farey_polynomial(Slope(1, q)) == want, q
+        u_prev, u = u, Poly([0, 2]) * u - u_prev
+
+
+def test_chebyshev_match_fails_from_a_wrong_seed(monkeypatch):
+    # Started at 3 + z instead of 2 + z, the fan sequence is off by
+    # U_(q-1)(x), which vanishes at no q >= 1 for this z.
+    fan = frf.left_sequence
+    monkeypatch.setattr(frf, "left_sequence", lambda z, q, a0, a1, constant: fan(z, q, a0, a1 + 1, constant))
+    assert frf.chebyshev_match(0, 1.5 + 0.5j)
+    assert not any(frf.chebyshev_match(q, 1.5 + 0.5j) for q in range(1, 31))
 
 
 def test_chebyshev_match():

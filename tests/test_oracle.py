@@ -24,6 +24,7 @@ from fareyslice import (
 from fareyslice import oracle
 from fareyslice.errors import FormalVertex, NotNeighbours
 from fareyslice.recursion import farey_polynomial
+from fareyslice.rings import Slots
 from fareyslice.words import Letter
 
 
@@ -147,19 +148,23 @@ def test_slot_width_leaves_room_for_the_sign(q):
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 9])
 def test_unpack_decodes_extreme_slot_values(size):
-    n_x, n_y, alpha_shift = 1, 2, 1
+    # A word with n_x = 1 and n_y = 2: entry b holds the coefficient of
+    # A^m B^n T^k at the layout's strides, shifted m a + n b + k t, and it
+    # decodes as that of z^k alpha^(2m + k + 1 - n_x) beta^(2n + k - n_y).
+    n_x, n_y = 1, 2
+    layout = Slots(n_y + 1, n_x + 1, n_y + 1, -n_x, -n_y, 1, size)
+    t_shift, a_shift, b_shift = layout.strides
     top = (1 << (8 * size - 1)) - 1
-    slots = (n_x + 1) * (n_y + 1) ** 2
-    values = [(top, -top, 0, 1, -1, -top - 1)[i % 6] for i in range(slots)]
-    packed = sum(v << (8 * size * i) for i, v in enumerate(values))
-    bias = sum(1 << (8 * size * (i + 1) - 1) for i in range(slots))
+    monomials = [(m, n, k) for m in range(n_x + 1) for n in range(n_y + 1) for k in range(n_y + 1)]
+    values = [(top, -top, 0, 1, -1, -top - 1)[t % 6] for t in range(len(monomials))]
+    packed = sum(v << (m * a_shift + n * b_shift + k * t_shift) for (m, n, k), v in zip(monomials, values))
     expected = [{} for _ in range(n_y + 1)]
-    for i, v in enumerate(values):
-        m, n, k = i // (n_y + 1) ** 2, i // (n_y + 1) % (n_y + 1), i % (n_y + 1)
+    for (m, n, k), v in zip(monomials, values):
         if v:
-            expected[k][(2 * m + k + alpha_shift - n_x, 2 * n + k - n_y)] = v
-    got = oracle._unpack(packed + bias, alpha_shift, n_x, n_y, size)
-    assert got == Poly([Laurent2(t) for t in expected])
+            expected[k][(2 * m + k + 1 - n_x, 2 * n + k - n_y)] = v
+    got = oracle.Mat2._decoded_on_read((0, packed, 0, 0, layout))
+    assert got.b == Poly([Laurent2(t) for t in expected])
+    assert got.a == got.c == got.d == Poly()
 
 
 @pytest.mark.parametrize(
@@ -173,20 +178,21 @@ def test_packed_trace_is_one_decode_of_a_plus_d(monkeypatch, text, slot_bytes):
         words = [Word.from_string("XY" * 48) if text == "(XY)^48" else farey_word(S(text))]
         assert oracle._slot_bytes(str(words[0])) == slot_bytes
     decodes = []
-    unpack = oracle._unpack
+    unpack = Slots.unpack
 
-    def counted(*args):
-        decodes.append(args[1])
-        return unpack(*args)
+    def counted(layout, v):
+        decodes.append(layout.x0)
+        return unpack(layout, v)
 
-    monkeypatch.setattr(oracle, "_unpack", counted)
+    monkeypatch.setattr(Slots, "unpack", counted)
     for w in words:
-        want = reference_word_matrix(w)
-        # The trace first: one decode, of a slot layout with alpha_shift 0.
         decodes.clear()
+        want = reference_word_matrix(w)
+        assert decodes == [], "the reference went through the slot layout"
+        # The trace first: one decode, at the offsets of a and d.
         m = oracle.word_matrix(w)
         trace = m.trace
-        assert decodes == [0], w
+        assert decodes == [-(str(w).count("X") + str(w).count("x"))], w
         assert trace == want.a + want.d, w
         assert [m.a, m.b, m.c, m.d] == list(want), w
         assert m.trace == trace, w

@@ -248,7 +248,7 @@ def test_symmetrize_conjugates():
     unmatched = 5 + 1j
     far_pair = (-2 + 1j, -2.001 - 1j)
     z = np.array([near_real, *pair, unmatched, *far_pair])
-    out = pleating._symmetrize_conjugates(z, tol=1e-9)
+    out = pleating._symmetrize_conjugates(z)
     assert out[0] == 3 and out[0].imag == 0
     avg = (pair[0] + pair[1].conjugate()) / 2
     assert out[1] == avg and out[2] == avg.conjugate()
@@ -287,7 +287,7 @@ def test_symmetrize_conjugates_matches_the_greedy_loop():
     ])
     z = z[rng.permutation(len(z))]
     want = _symmetrize_conjugates_loop(z, 1e-9)
-    assert list(pleating._symmetrize_conjugates(z, 1e-9)) == list(want)
+    assert list(pleating._symmetrize_conjugates(z)) == list(want)
 
 
 def test_cusp_candidates_examples():

@@ -283,6 +283,57 @@ def test_wide_packed_product_decodes_past_int64():
     assert [c.terms for c in got.coeffs] == reference_poly_mul(_WIDE, _WIDE)
 
 
+@st.composite
+def packed_terms(draw):
+    """A slot layout and some of its slots, each with a coefficient that fits.
+
+    Halved layouts give exponents of one parity, unhalved ones of both.
+    """
+    size = draw(st.integers(1, 10))
+    layout = rings.Slots(
+        length=draw(st.integers(1, 4)),
+        nx=draw(st.integers(1, 4)),
+        ny=draw(st.integers(1, 4)),
+        x0=draw(st.integers(-6, 3)),
+        y0=draw(st.integers(-6, 3)),
+        halve=draw(st.integers(0, 1)),
+        size=size,
+    )
+    top = (1 << (8 * size - 1)) - 1
+    values = st.one_of(st.sampled_from([top, -top, -top - 1]), st.integers(-top - 1, top).filter(bool))
+    slots = st.tuples(
+        st.integers(0, layout.length - 1), st.integers(0, layout.nx - 1), st.integers(0, layout.ny - 1)
+    )
+    return layout, draw(st.dictionaries(slots, values, max_size=12))
+
+
+# The extreme values of 9-byte slots, past what the int64 decoder reads.
+_EXTREMES = {
+    (k, x, y): (2**71 - 1, -(2**71) + 1, -(2**71))[(k + x + y) % 3]
+    for k in range(2)
+    for x in range(2)
+    for y in range(3)
+}
+
+
+@settings(max_examples=300)
+@given(packed_terms())
+@example((rings.Slots(2, 2, 3, -4, -1, 1, 9), _EXTREMES))
+@example((rings.Slots(2, 2, 3, -3, 0, 0, 9), _EXTREMES))
+def test_slot_layout_round_trip(case):
+    layout, slots = case
+    rows = [{} for _ in range(layout.length)]
+    for (k, x, y), c in slots.items():
+        rows[k][(x << layout.halve) + k + layout.x0, (y << layout.halve) + k + layout.y0] = c
+    terms = Poly(map(Laurent2, rows))
+    packed = layout.pack(rings.Slots.shear(terms.coeffs))
+    # Slot (k nx + x) ny + y holds its coefficient times 2^(8 size slot).
+    assert packed == sum(
+        c << 8 * layout.size * ((k * layout.nx + x) * layout.ny + y) for (k, x, y), c in slots.items()
+    )
+    assert layout.unpack(packed) == terms
+
+
 def test_specialize_parabolic_examples():
     assert specialize_parabolic(farey_polynomial(Slope(1, 2), "generic")).coeffs == [2, 0, 1]
     assert specialize_parabolic(farey_polynomial(Slope(0, 1), "generic")).coeffs == [2, -1]
