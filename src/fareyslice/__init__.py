@@ -30,7 +30,6 @@ from .rings import (
     GeneratorParams,
     Laurent2,
     Poly,
-    eval_complex,
     is_perfect_square,
     poly_sqrt_exact,
     specialize_numeric,
@@ -96,7 +95,6 @@ __all__ = [
     "recursion_constants",
     "specialize_parabolic",
     "specialize_numeric",
-    "eval_complex",
     "poly_sqrt_exact",
     "is_perfect_square",
     "oracle",

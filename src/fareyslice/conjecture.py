@@ -159,17 +159,27 @@ class SignParityReport:
     but is *not* multiplicative over triangles (a global -1 appears at
     every step); the negated sign is.  The report records both readings
     instead of silently choosing one.  Multiplicity mod 2 is additive.
+    Each verdict is read off its list of violating slopes.
     """
 
     q_max: int
     seed_signs_match: bool = True
     seed_k_match: bool = True
-    raw_sign_multiplicative: bool = True
     raw_sign_violations: list[Slope] = field(default_factory=list)
-    negated_sign_multiplicative: bool = True
     negated_sign_violations: list[Slope] = field(default_factory=list)
-    k_additive: bool = True
     k_violations: list[Slope] = field(default_factory=list)
+
+    @property
+    def raw_sign_multiplicative(self) -> bool:
+        return not self.raw_sign_violations
+
+    @property
+    def negated_sign_multiplicative(self) -> bool:
+        return not self.negated_sign_violations
+
+    @property
+    def k_additive(self) -> bool:
+        return not self.k_violations
 
     def summary(self) -> str:
         rows = [
@@ -203,12 +213,9 @@ def epsilon_k_check(q_max: int) -> SignParityReport:
         a, b = parents(s)
         ds, da, db = (_memo_decomposition(v, data) for v in (s, a, b))
         if ds.sign != da.sign * db.sign:
-            report.raw_sign_multiplicative = False
             report.raw_sign_violations.append(s)
         if -ds.sign != (-da.sign) * (-db.sign):
-            report.negated_sign_multiplicative = False
             report.negated_sign_violations.append(s)
         if ds.k != (da.k + db.k) % 2:
-            report.k_additive = False
             report.k_violations.append(s)
     return report

@@ -9,8 +9,10 @@ A Farey-recursive function F satisfies, on every triangle with parents
 where beta is the parent with the larger denominator.  The trace
 polynomials are the special case d1 = 1, d2 = -F, d3 = 8; dropping d3
 gives the homogeneous family.  Down any fan of repeated mediants the
-recursion collapses to a second-order linear recurrence, which is what
-the transition-matrix and closed-form helpers here exploit.
+recursion collapses to the recurrence f(k+1) = x f(k) - f(k-1) (+ c),
+run directly by ``left_sequence`` and diagonalised by ``_diagonalised``.
+``_chebyshev`` keeps its own recurrence on purpose: it is the
+independent side of ``chebyshev_match``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "FRFSpec",
     "frf_eval",
     "boundary_matrix_power",
-    "LeftFanClosedForm",
     "closed_form_left",
     "closed_form_homog_left",
     "closed_form_triangle",
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
+_CHEBYSHEV_TOL = 1e-9
 
 
 @dataclass
@@ -83,19 +85,15 @@ def frf_eval(spec: FRFSpec, s: Slope):
     return descend(cache, s, step)
 
 
-def _apply(m, v):
-    (m00, m01), (m10, m11) = m
-    return (m00 * v[0] + m01 * v[1], m10 * v[0] + m11 * v[1])
-
-
 def boundary_matrix_power(spec: FRFSpec, alpha: Slope, n: int):
     """Transition-matrix power applied to the first two fan values.
 
     For an anti-determinant function (d2 = -F, d = d1 multiplicative with
     no zero divisors in its image) the matrix [[0, 1], [-d(a), -F(a)]]
-    advances the fan around ``alpha``: non-negative powers give
-    (F(fan_n), F(fan_n+1)) on the nose, negative powers pick up inverse
-    d-factors and need exact d-inverses.
+    advances the fan around ``alpha``.  Each step forward maps the pair
+    (v0, v1) to (v1, -d v0 - F v1), so non-negative powers give
+    (F(fan_n), F(fan_n+1)) on the nose; each step back maps it to
+    ((-F v0 - v1)/d, v0) and needs exact d-inverses.
     """
     if not spec.is_anti_determinant:
         raise ValueError("transition matrices need the self-multiplying form")
@@ -105,29 +103,14 @@ def boundary_matrix_power(spec: FRFSpec, alpha: Slope, n: int):
     if d(alpha) != d(left) * d(right):
         raise ValueError("d is not multiplicative at the visited triangle")
     f_alpha = frf_eval(spec, alpha)
-    v = (
-        frf_eval(spec, boundary_sequence(alpha, 0)),
-        frf_eval(spec, boundary_sequence(alpha, 1)),
-    )
-    if n >= 0:
-        m = ((_zero_like(f_alpha), _one_like(f_alpha)), (-d(alpha), -f_alpha))
-        for _ in range(n):
-            v = _apply(m, v)
-        return v
     det = d(alpha)
-    inv = ((-f_alpha, -_one_like(f_alpha)), (det, _zero_like(f_alpha)))
+    v0 = frf_eval(spec, boundary_sequence(alpha, 0))
+    v1 = frf_eval(spec, boundary_sequence(alpha, 1))
+    for _ in range(n):
+        v0, v1 = v1, -det * v0 - f_alpha * v1
     for _ in range(-n):
-        w = _apply(inv, v)
-        v = (exact_div(w[0], det), exact_div(w[1], det))
-    return v
-
-
-def _one_like(x):
-    return Poly([1]) if isinstance(x, Poly) else 1
-
-
-def _zero_like(x):
-    return Poly() if isinstance(x, Poly) else 0
+        v0, v1 = exact_div(-f_alpha * v0 - v1, det), v0
+    return v0, v1
 
 
 def homogeneous_spec() -> FRFSpec:
@@ -148,63 +131,29 @@ def _check_not_singular(z: complex) -> None:
 def _diagonalised(x, r: complex, n: int, f0, f1) -> complex:
     """f(n) for f(k+1) = x f(k) - f(k-1) with f(0) = f0, f(1) = f1.
 
-    The diagonalisation: with r = sqrt(x^2 - 4), of either branch and
-    non-zero, the eigenvalues are (x +- r)/2.
+    The diagonalisation: with r = sqrt(x^2 - 4), non-zero, the
+    eigenvalues are (x +- r)/2.  They multiply to 1, so the radical's
+    branch cannot matter: the other branch swaps them and leaves f(n) as
+    it is.
     """
     a = (f0 * (x + r) - 2 * f1) * (x - r) ** n
     b = (f0 * (r - x) + 2 * f1) * (x + r) ** n
     return (a + b) / (2.0 ** (1 + n) * r)
 
 
-@dataclass(frozen=True)
-class LeftFanClosedForm:
-    """Diagonalisation data for the 1/q fan at a fixed parameter z.
-
-    The transition eigenvalues multiply to 1, so the radical's branch
-    cannot matter; ``lam`` and ``mu`` are the particular-solution mixing
-    coefficients for the trace-polynomial seeds 2 and 2 + z.
-    """
-
-    z: complex
-    radical: complex
-    lam_plus: complex
-    lam_minus: complex
-    lam: complex
-    mu: complex
-
-    @classmethod
-    def at(cls, z: complex) -> "LeftFanClosedForm":
-        # mu solves the seed system a0 = 2, a1 = 2 + z; its denominator
-        # must be 4 - z for the q = 1 value to come out right.
-        _check_not_singular(z)
-        rad = cmath.sqrt(z * z - 4 * z)
-        return cls(
-            z=z,
-            radical=rad,
-            lam_plus=(z - 2 + rad) / 2,
-            lam_minus=(z - 2 - rad) / 2,
-            lam=2 * z / (z - 4),
-            mu=(2 * z - z * z) / (4 - z),
-        )
-
-    @property
-    def eigen_product(self) -> complex:
-        return self.lam_plus * self.lam_minus
-
-    def value(self, q: int) -> complex:
-        z = self.z
-        return 8 / (4 - z) + _diagonalised(z - 2, self.radical, q, self.lam, self.mu)
-
-
 def closed_form_left(z: complex, q: int) -> complex:
     """Closed-form value of the parabolic trace polynomial at slope 1/q.
 
-    The diagonalised fan recurrence of ``LeftFanClosedForm``; rejects
-    z in {0, 4} where the radical or the particular solution degenerates.
+    The constant 8 of the fan recurrence has the fixed point 8/(4 - z);
+    the rest is the homogeneous closed form from the shifted seeds
+    2 - 8/(4 - z) and 2 + z - 8/(4 - z).  Rejects z in {0, 4}, where the
+    radical or the fixed point degenerates.
     """
     if q < 0:
         raise ValueError("q must be >= 0")
-    return LeftFanClosedForm.at(z).value(q)
+    _check_not_singular(z)
+    lam, mu = 2 * z / (z - 4), (2 * z - z * z) / (4 - z)
+    return 8 / (4 - z) + closed_form_homog_left(z, q, lam, mu)
 
 
 def closed_form_homog_left(z: complex, q: int, a0: complex, a1: complex) -> complex:
@@ -278,7 +227,7 @@ def _chebyshev(n: int, first: Poly) -> Poly:
     return cur
 
 
-def chebyshev_match(q: int, z: complex, tol: float = 1e-9) -> bool:
+def chebyshev_match(q: int, z: complex) -> bool:
     """Does the homogeneous 1/q value equal 2 T_q(x) + 4 U_(q-1)(x)?
 
     Here x = (z - 2)/2, and T and U are the Chebyshev polynomials of the
@@ -295,7 +244,7 @@ def chebyshev_match(q: int, z: complex, tol: float = 1e-9) -> bool:
     w = _exact_evaluator(rhs.coeffs)(np.array([(complex(z) - 2) / 2]))[0][0] if q else 2
     lhs = complex(left_sequence(z, q, a0=2, a1=2 + z, constant=0))
     scale = max(1.0, abs(lhs))
-    return abs(lhs - w) <= tol * scale
+    return abs(lhs - w) <= _CHEBYSHEV_TOL * scale
 
 
 def detect_cycle(z, max_period: int) -> Optional[int]:
@@ -304,14 +253,7 @@ def detect_cycle(z, max_period: int) -> Optional[int]:
     Exact integer arithmetic when z is an integer; complex values compare
     with a relative tolerance.
     """
-    length = 3 * max_period + 12
-    seq = []
-    prev, cur = 2, 2 + z
-    seq.append(prev)
-    seq.append(cur)
-    for _ in range(length):
-        prev, cur = cur, (z - 2) * cur - prev
-        seq.append(cur)
+    seq = [left_sequence(z, k, 2, 2 + z, 0) for k in range(3 * max_period + 14)]
     exact = isinstance(z, int)
 
     def same(u, v):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
@@ -46,7 +45,6 @@ __all__ = [
     "Ring",
     "specialize_parabolic",
     "specialize_numeric",
-    "eval_complex",
     "poly_sqrt_exact",
     "is_perfect_square",
     "poly_mul_count",
@@ -235,8 +233,8 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def constant(self, zero=0):
-        return self.coeffs[0] if self.coeffs else zero
+    def constant(self):
+        return self.coeffs[0] if self.coeffs else 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -506,9 +504,6 @@ def exact_div(x, d):
     raise ZeroDivisor(f"no exact division by {d!r}")
 
 
-DOUBLE_EXACT_BOUND = 2**53
-
-
 @dataclass(frozen=True)
 class GeneratorParams:
     """Cone orders (a, b) of the two generators; math.inf means parabolic.
@@ -599,30 +594,6 @@ def specialize_numeric(p: Poly, params: GeneratorParams) -> Poly:
     """Evaluate Laurent coefficients at the roots of unity given by params."""
     ring = Ring.parse(params)
     return Poly([ring.coeff(c) if isinstance(c, Laurent2) else complex(c) for c in p.coeffs])
-
-
-def to_complex_coeffs(p: Poly) -> list[complex]:
-    """Coefficients as complex doubles, warning when exactness is lost."""
-    out = []
-    lossy = False
-    for c in p.coeffs:
-        if isinstance(c, int) and abs(c) > DOUBLE_EXACT_BOUND:
-            lossy = True
-        out.append(complex(c))
-    if lossy:
-        warnings.warn(
-            "coefficients exceed 2**53; double conversion is inexact",
-            stacklevel=2,
-        )
-    return out
-
-
-def eval_complex(p: Poly, z: complex) -> complex:
-    """Horner evaluation after conversion of coefficients to doubles."""
-    acc = 0j
-    for c in reversed(to_complex_coeffs(p)):
-        acc = acc * z + c
-    return acc
 
 
 def is_perfect_square(n: int) -> Optional[int]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fareyslice import pleating
 from fareyslice.cli import main
 
 
@@ -154,16 +155,33 @@ def test_errors_inside_a_computation_exit_2(capsys):
     assert code == 2 and "computation failed" in err
 
 
+def test_unconverged_root_sets_exit_2(capsys, monkeypatch):
+    # Both commands still write the roots, then exit 2 naming the count
+    # of unconverged sets and the worst residual.
+    stuck = pleating.RootSet(slope=None, ring="parabolic", roots=[1j, -1j],
+                             residuals=[1e-12, 3e-6], converged=False)
+    monkeypatch.setattr(pleating, "slice_cloud", lambda *args: [stuck])
+    monkeypatch.setattr(pleating, "irrational_cusp_path", lambda *args: [stuck])
+    for argv in (["slice", "--qmax", "3"], ["cusp-path", "--cf", "0,1", "--depth", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out.splitlines()[0] == "re,im,p,q,residual" and len(out.splitlines()) == 3
+        assert "1 of 1 root sets unconverged, worst residual 3.00e-06" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
+        ["slice", "--qmax", "3", "--tol", "1e-8"],
+        ["cusp-path", "--cf", "0,1", "--depth", "2", "--tol", "1e-8"],
         ["closed-form", "--q", "2", "--z", "x"],
         ["poly", "--slope", "5/3"],
         ["cusp-path", "--cf", "0,a", "--depth", "2"],
         ["cusp-path", "--cf", "0,-1", "--depth", "2"],
         ["poly", "--slope", "1/2", "--ring", "numeric", "--a", "1"],
     ],
-    ids=["complex", "slope-domain", "cf-int", "cf-terms", "cone-order"],
+    ids=["slice-tol", "cusp-path-tol", "complex", "slope-domain", "cf-int", "cf-terms",
+         "cone-order"],
 )
 def test_arguments_that_do_not_parse_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)

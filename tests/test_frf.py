@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from fareyslice import (
     Slope,
     boundary_sequence,
     enumerate_farey,
-    eval_complex,
     farey_polynomial,
     homogeneous_farey_polynomial,
 )
@@ -124,7 +124,7 @@ def test_closed_form_left_matches_recursion():
         direct = frf.left_sequence(z, q)
         assert abs(closed - direct) <= 1e-9 * max(1.0, abs(direct))
         if q <= 12:
-            horner = eval_complex(farey_polynomial(Slope(1, q), "parabolic"), z)
+            horner = farey_polynomial(Slope(1, q), "parabolic").evaluate(z)
             assert abs(closed - horner) <= 1e-9 * max(1.0, abs(horner))
 
 
@@ -134,13 +134,11 @@ def test_closed_form_left_rejects_singular():
             frf.closed_form_left(z, 3)
 
 
-def test_left_fan_closed_form_dataclass():
+def test_closed_form_left_matches_direct_recurrence():
     for z in (1 + 2j, -3 + 0.5j, 0.4 - 4j):
-        data = frf.LeftFanClosedForm.at(z)
-        assert abs(data.eigen_product - 1) < 1e-9
         for q in range(0, 25):
             direct = frf.left_sequence(z, q)
-            assert abs(data.value(q) - direct) <= 1e-8 * max(1.0, abs(direct))
+            assert abs(frf.closed_form_left(z, q) - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
 def test_closed_form_homog_left():
@@ -160,6 +158,11 @@ def test_homogeneous_cycles():
     assert frf.detect_cycle(2, 8) == 4
     assert frf.detect_cycle(3, 8) == 6
     assert frf.detect_cycle(5, 12) is None
+    # z = 2 + 2 cos(2 pi/m) puts the fan eigenvalues at primitive m-th
+    # roots of unity, so the sequence has period m up to rounding.
+    for m in (5, 7):
+        assert frf.detect_cycle(2 + 2 * math.cos(2 * math.pi / m), 10) == m
+    assert frf.detect_cycle(1.5 + 0.5j, 10) is None
 
 
 def test_homogeneous_fibonacci_like_at_five():

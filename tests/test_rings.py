@@ -13,7 +13,6 @@ from fareyslice import (
     Laurent2,
     Poly,
     Slope,
-    eval_complex,
     farey_polynomial,
     is_perfect_square,
     poly_sqrt_exact,
@@ -374,17 +373,6 @@ def test_specialize_numeric_agrees_with_direct_evaluation():
                 c.evaluate(al, be) * z**k for k, c in enumerate(generic.coeffs)
             )
             assert abs(numeric.evaluate(z) - direct) <= 1e-9 * max(1, abs(direct))
-
-
-def test_eval_complex():
-    assert eval_complex(Poly([2, 0, 1]), 2j) == pytest.approx(-2)
-    assert eval_complex(Poly([-6, 0, 1]), 5) == pytest.approx(19)
-    assert eval_complex(Poly([2, -1]), 4) == pytest.approx(-2)
-
-
-def test_eval_complex_warns_beyond_double_exact():
-    with pytest.warns(UserWarning):
-        eval_complex(Poly([2**60, 1]), 1.0)
 
 
 def test_poly_sqrt_exact_examples():
