@@ -12,7 +12,9 @@ the companion-matrix eigenvalues of the coefficients (exact integers are
 Taylor-shifted to the root centroid first), which it only polishes (two
 or three evaluations per parabolic root set for q <= 40); the double
 coefficients also probe the restart circle for overflow and score the
-result; ``all_roots`` states the loop's one restart rule.  Reported
+result; ``all_roots`` states the loop's one restart rule.  Of each
+parabolic mirror pair p/q, (q - p)/q only the lower slope is solved;
+the other set is its negation (``cusp_candidates``).  Reported
 residuals are backward-error scaled, |P(z)| / sum_k |c_k| |z|^k: an
 absolute residual is meaningless for these polynomials, whose terms
 reach 1e20+ at the outermost roots while cancelling to machine
@@ -22,6 +24,7 @@ precision.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Optional
@@ -364,14 +367,18 @@ def all_roots(
     converged = not deg or float(np.max(res)) < _CONVERGED_RESIDUAL
     found = list(zero_roots) + [complex(z) for z in roots_arr]
     residuals = [0.0] * len(zero_roots) + [float(r) for r in res]
-    order = sorted(
-        range(len(found)), key=lambda i: (round(found[i].real, 12), round(found[i].imag, 12))
-    )
+    order = sorted(range(len(found)), key=lambda i: _root_order(found[i]))
     return (
         [found[i] for i in order],
         [residuals[i] for i in order],
         converged,
     )
+
+
+def _root_order(z: complex) -> tuple[float, float]:
+    """The sort key of a root set's roots: real part, then imaginary part,
+    each rounded to 12 decimals."""
+    return round(z.real, 12), round(z.imag, 12)
 
 
 def roots(p: Poly, slope: Optional[Slope] = None, ring: str = "parabolic") -> RootSet:
@@ -384,16 +391,49 @@ def roots(p: Poly, slope: Optional[Slope] = None, ring: str = "parabolic") -> Ro
     return RootSet(slope=slope, ring=ring, roots=rs, residuals=res, converged=ok)
 
 
+# Parabolic root sets waiting for their request: extracting either slope
+# of a mirror pair p/q, (q - p)/q builds both sets (``cusp_candidates``),
+# and the one not asked for is kept here until it is, then dropped.
+_MIRRORS: dict[Slope, RootSet] = {}
+_MIRRORS_LOCK = threading.Lock()
+
+
 def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootSet:
     """All roots of the slope's trace polynomial shifted by +2.
 
     These approximate the boundary of the (parabolic or cone-angle)
     slice; which of them are genuine cusp points is an open question.
     The iteration evaluates P + 2 and P' by the triangle recursion.
+
+    In the parabolic ring the slope map p/q -> (q - p)/q swaps the seeds
+    2 - z and 2 + z and fixes 1/0 and the constant 8, so
+    P_{(q-p)/q}(z) = P_{p/q}(-z) exactly.  Only the lower slope of such a
+    mirror pair is root-solved; the upper set is its exact negation
+    (``_mirrored``).  Either way a set depends only on its slope, not on
+    the order of requests.
     """
     if s.is_infinite:
         raise FormalVertex("1/0 has no root locus")
     ring = Ring.parse("parabolic" if params is None or params.is_parabolic else params)
+    if ring.name != "parabolic" or 2 * s.p == s.q:
+        return _extract(s, ring)
+    with _MIRRORS_LOCK:
+        served = _MIRRORS.pop(s, None)
+    if served is not None:
+        return served
+    lower = _extract(Slope(min(s.p, s.q - s.p), s.q), ring)
+    upper = _mirrored(lower)
+    mine, partner = (lower, upper) if s == lower.slope else (upper, lower)
+    with _MIRRORS_LOCK:
+        # Another thread may have left this slope's set here meanwhile;
+        # it is the same set, and the pair keeps one entry.
+        _MIRRORS.pop(s, None)
+        _MIRRORS[partner.slope] = partner
+    return mine
+
+
+def _extract(s: Slope, ring: Ring) -> RootSet:
+    """Aberth on the slope's P + 2, evaluated by the triangle recursion."""
     engine = get_engine(ring)
     two = ring.coeff(Laurent2.const(2))
 
@@ -401,11 +441,34 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
         p, dp = engine.evaluate(s, z)
         return p + two, dp
 
-    # The coefficients only seed, probe and score the iteration, so exact
-    # integers past 2**53 convert to doubles without a lossy-input warning.
+    # The coefficients only seed, probe and score the iteration: the roots
+    # come from the recursion's values, so exact integers past 2**53 may
+    # round to doubles.
     coeffs = (engine.polynomial(s) + Poly([two])).coeffs
     rs, res, ok = all_roots(coeffs, evaluate=shifted)
     return RootSet(slope=s, ring=ring.label, roots=rs, residuals=res, converged=ok)
+
+
+def _mirrored(rs: RootSet) -> RootSet:
+    """The parabolic root set of the mirror slope (q - p)/q: every root of
+    the p/q set negated.
+
+    Adding 0.0 turns the negated zero parts into +0.0.  The residuals and
+    the converged flag carry over exactly: Horner on the mirror's
+    coefficients (-1)^k c_k at -z forms the same partial sums up to sign.
+    The roots are sorted again, by ``_root_order``.
+    """
+    pairs = sorted(
+        ((complex(-z.real + 0.0, -z.imag + 0.0), r) for z, r in zip(rs.roots, rs.residuals)),
+        key=lambda zr: _root_order(zr[0]),
+    )
+    return RootSet(
+        slope=Slope(rs.slope.q - rs.slope.p, rs.slope.q),
+        ring=rs.ring,
+        roots=[z for z, _ in pairs],
+        residuals=[r for _, r in pairs],
+        converged=rs.converged,
+    )
 
 
 def slice_cloud(q_max: int, params: Optional[GeneratorParams] = None) -> list[RootSet]:
@@ -413,7 +476,8 @@ def slice_cloud(q_max: int, params: Optional[GeneratorParams] = None) -> list[Ro
 
     Deterministic (q, p) order.  The polynomial cache is shared, so the
     whole cloud costs one recursion pass plus one root extraction per
-    slope.
+    slope in a cone ring, and per mirror pair p/q, (q - p)/q in the
+    parabolic ring (see ``cusp_candidates``).
     """
     return [cusp_candidates(s, params) for s in enumerate_farey(q_max)]
 

@@ -17,9 +17,11 @@ homogeneous family (the parabolic recursion with C = 0) and
 ``frf.frf_eval`` differ only in their seeds and step.
 
 The same triangle step also runs on complex numbers:
-``FareyPolynomialEngine.evaluate`` replays it on numpy arrays, giving P
-and P' at many points at once with no polynomial product and without the
-cancellation of Horner's rule on the expanded coefficients.
+``FareyPolynomialEngine.evaluate`` walks the Stern-Brocot path to the
+slope on numpy arrays, holding only the current interval and its third
+vertex, and gives P and P' at many points at once with no polynomial
+product and without the cancellation of Horner's rule on the expanded
+coefficients.
 
 Cache discipline: one engine per ring, entries immutable once inserted.
 Each engine populates its caches under its own lock and ``get_engine``
@@ -121,7 +123,6 @@ class FareyPolynomialEngine:
         self._scalar = parsed.name != "generic"
         self._cache: dict[Slope, Poly] = _seeds(parsed)
         self._constants = recursion_constants(ring)
-        self._last_plan: tuple = (None, [], 0)
         self._lock = threading.Lock()
 
     def polynomial(self, s: Slope) -> Poly:
@@ -132,52 +133,40 @@ class FareyPolynomialEngine:
         cache = self._cache
         return self._constants[t.q % 2] - cache[a] * cache[b] - cache[d]
 
-    def _plan(self, s: Slope) -> tuple[Slope, list[tuple[int, int, int, int]], int]:
-        """(s, the triangle steps from the seeds to ``s``, the number of ``s``).
-
-        Slopes are numbered in visiting order, seeds first; a step t from
-        (a, b, d) is (t.q % 2, number of a, number of b, number of d).  The
-        walk reads the cached ``farey_triangle`` of each slope, so a new
-        plan costs dict lookups, not a fresh parent search per ancestor.
-        A root search evaluates one slope a few times in a row, so the last
-        plan is kept too.
-        """
-        plan = self._last_plan
-        if plan[0] != s:
-            index = {u: i for i, u in enumerate(_GENERIC_SEEDS)}
-            steps = []
-
-            def record(t, a, b, d):
-                index[t] = len(index)
-                steps.append((t.q % 2, index[a], index[b], index[d]))
-
-            descend(dict.fromkeys(_GENERIC_SEEDS), s, record)
-            plan = self._last_plan = (s, steps, index[s])
-        return plan
-
     def evaluate(self, s: Slope, z) -> tuple[np.ndarray, np.ndarray]:
         """(P(z), P'(z)) at every point of the complex array ``z``.
 
-        Replays the triangle steps from the seeds to ``s`` on arrays,
-        v_t = C - v_a v_b - v_d and v'_t = -(v'_a v_b + v_a v'_b) - v'_d,
-        so it multiplies no polynomials.  The generic ring has no scalar
-        values and raises ValueError.
+        Walks the Stern-Brocot path to ``s`` on arrays, from the interval
+        (L, R) = (0/1, 1/1) with third vertex D = 1/0.  Each step computes
+        the mediant M, whose parents are (L, R) in that order,
+        v_M = C - v_L v_R - v_D and v'_M = -(v'_L v_R + v_L v'_R) - v'_D,
+        and keeps the half that holds ``s``: (L, M) with D = R, or (M, R)
+        with D = L.  It multiplies no polynomials and keeps no state
+        between calls.  The generic ring has no scalar values and raises
+        ValueError.
         """
         if not self._scalar:
             raise ValueError("the generic ring has no scalar values to evaluate at")
         z = np.asarray(z, dtype=complex)
-        _, steps, target = self._plan(s)
-        val, der = [], []
+        seeds = {}
         for u in _GENERIC_SEEDS:
             c = self._cache[u].coeffs + [0, 0]
-            val.append(c[0] + c[1] * z)
-            der.append(np.full_like(z, c[1]))
+            seeds[u] = (c[0] + c[1] * z, np.full_like(z, c[1]))
+        if s in seeds:
+            return seeds[s]
         consts = [c.constant() for c in self._constants]
-        for parity, a, b, d in steps:
-            va, vb = val[a], val[b]
-            val.append(consts[parity] - va * vb - val[d])
-            der.append(-(der[a] * vb + va * der[b]) - der[d])
-        return val[target], der[target]
+        (vl, dl), (vr, dr), (vd, dd) = seeds[ZERO], seeds[ONE], seeds[INFINITY]
+        lp, lq, rp, rq = 0, 1, 1, 1
+        while True:
+            mp, mq = lp + rp, lq + rq
+            vm = consts[mq % 2] - vl * vr - vd
+            dm = -(dl * vr + vl * dr) - dd
+            if (mp, mq) == (s.p, s.q):
+                return vm, dm
+            if s.p * mq < mp * s.q:
+                rp, rq, vr, dr, vd, dd = mp, mq, vm, dm, vr, dr
+            else:
+                lp, lq, vl, dl, vd, dd = mp, mq, vm, dm, vl, dl
 
     def cached_slopes(self) -> list[Slope]:
         return list(self._cache)

@@ -110,35 +110,39 @@ def test_closed_form_left_small_q():
         assert abs(frf.closed_form_left(z, 1) - (z + 2)) < 1e-9
 
 
-def test_closed_form_left_matches_recursion():
+def _assert_closed_form_left(z, q):
     # Reference values come from the recursion run pointwise at z: the
     # expanded coefficients exceed 1e14 by q = 40, so Horner on them
     # cancels catastrophically while the recurrence stays stable.
+    closed = frf.closed_form_left(z, q)
+    direct = frf.left_sequence(z, q)
+    assert abs(closed - direct) <= 1e-9 * max(1.0, abs(direct))
+    if q <= 12:
+        horner = farey_polynomial(Slope(1, q), "parabolic").evaluate(z)
+        assert abs(closed - horner) <= 1e-9 * max(1.0, abs(horner))
+
+
+def test_closed_form_left_matches_recursion():
+    # 100 random (z, q) with q up to 40.
     rng = random.Random(7)
     for _ in range(100):
         z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
         if abs(z) < 1e-3 or abs(z - 4) < 1e-3:
             continue
-        q = rng.randrange(0, 41)
-        closed = frf.closed_form_left(z, q)
-        direct = frf.left_sequence(z, q)
-        assert abs(closed - direct) <= 1e-9 * max(1.0, abs(direct))
-        if q <= 12:
-            horner = farey_polynomial(Slope(1, q), "parabolic").evaluate(z)
-            assert abs(closed - horner) <= 1e-9 * max(1.0, abs(horner))
+        _assert_closed_form_left(z, rng.randrange(0, 41))
+
+
+def test_closed_form_left_matches_direct_recurrence():
+    # Three fixed z at every q < 25, so no q in that range is left out.
+    for z in (1 + 2j, -3 + 0.5j, 0.4 - 4j):
+        for q in range(25):
+            _assert_closed_form_left(z, q)
 
 
 def test_closed_form_left_rejects_singular():
     for z in (0, 4, 0j, 4 + 0j):
         with pytest.raises(SingularParameter):
             frf.closed_form_left(z, 3)
-
-
-def test_closed_form_left_matches_direct_recurrence():
-    for z in (1 + 2j, -3 + 0.5j, 0.4 - 4j):
-        for q in range(0, 25):
-            direct = frf.left_sequence(z, q)
-            assert abs(frf.closed_form_left(z, q) - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
 def test_closed_form_homog_left():

@@ -1,7 +1,10 @@
 import cmath
 import math
 import random
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -117,8 +120,9 @@ def test_roots_of_modulus_1e_6_are_resolved():
 def test_roots_rejects_overflowing_evaluation():
     # finite coefficients whose evaluation overflows doubles on the
     # restart circle (the largest initial guess); the probe itself must
-    # not warn (RuntimeWarnings are errors under pytest)
-    for s in (Slope(1, 400), Slope(610, 987)):
+    # not warn (RuntimeWarnings are errors under pytest).  Each mirror
+    # partner raises too: its set is derived from the same extraction.
+    for s in (Slope(1, 400), Slope(399, 400), Slope(610, 987), Slope(377, 987)):
         with pytest.raises(DegreeOverflow):
             pleating.cusp_candidates(s)
 
@@ -222,11 +226,8 @@ def test_exact_evaluator_overflows_to_infinity():
     assert dp[0].real == math.inf and dp[1].imag == -math.inf
 
 
-def test_cusp_candidates_iteration_budget(monkeypatch):
-    # Centroid-shifted guesses are close enough that every parabolic set
-    # with q <= 30 passes the step test within 3 evaluator calls, fans
-    # 1/q and (q - 1)/q included.  The converged flag is the residual
-    # test, whatever the step test said.
+def _counted_evaluate(monkeypatch) -> list:
+    """The slopes of every later evaluator call, in order."""
     evaluate = recursion.FareyPolynomialEngine.evaluate
     calls = []
 
@@ -235,11 +236,102 @@ def test_cusp_candidates_iteration_budget(monkeypatch):
         return evaluate(self, s, z)
 
     monkeypatch.setattr(recursion.FareyPolynomialEngine, "evaluate", counted)
+    return calls
+
+
+@pytest.fixture
+def no_mirrors(monkeypatch):
+    """An empty store of mirror root sets for the test."""
+    monkeypatch.setattr(pleating, "_MIRRORS", {})
+
+
+def test_cusp_candidates_iteration_budget(monkeypatch, no_mirrors):
+    # Centroid-shifted guesses are close enough that every parabolic set
+    # with q <= 30 passes the step test within 3 evaluator calls, fans
+    # 1/q and (q - 1)/q included.  In (q, p) order each upper slope of a
+    # mirror pair comes after its lower partner and takes no call.  The
+    # converged flag is the residual test, whatever the step test said.
+    calls = _counted_evaluate(monkeypatch)
     for s in enumerate_farey(30):
         calls.clear()
         rs = pleating.cusp_candidates(s)
         assert rs.converged and len(calls) <= 3, (s, len(calls))
+        if 2 * s.p > s.q:
+            assert calls == [], s
         assert rs.converged == (max(rs.residuals) < 1e-10), s
+    assert pleating._MIRRORS == {}
+
+
+def _is_negative_zero(x: float) -> bool:
+    return x == 0 and math.copysign(1.0, x) < 0
+
+
+def test_mirror_sets_are_exact_negations(no_mirrors):
+    # P_{(q-p)/q}(z) = P_{p/q}(-z): the upper set is the lower one negated,
+    # root for root with the same residuals, and no part prints as -0.0.
+    for s in enumerate_farey(40):
+        if 2 * s.p >= s.q:
+            continue
+        lower = pleating.cusp_candidates(s)
+        upper = pleating.cusp_candidates(Slope(s.q - s.p, s.q))
+        assert upper.slope == Slope(s.q - s.p, s.q) and upper.converged == lower.converged
+        negated = {-z: r for z, r in zip(lower.roots, lower.residuals)}
+        assert dict(zip(upper.roots, upper.residuals)) == negated, s
+        assert len(upper.roots) == s.q
+        assert not any(_is_negative_zero(x) for z in upper.roots for x in (z.real, z.imag)), s
+        assert upper.roots == sorted(upper.roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+
+
+def _cloud(slopes):
+    """Each slope's (roots, residuals, converged), requested in order."""
+    sets = (pleating.cusp_candidates(s) for s in slopes)
+    return {rs.slope: (rs.roots, rs.residuals, rs.converged) for rs in sets}
+
+
+def test_mirror_sets_do_not_depend_on_request_order(no_mirrors):
+    # A shuffled order asks for some upper slopes before their partners.
+    # Once both slopes of every pair are served, the store is empty again.
+    slopes = enumerate_farey(20)
+    want = _cloud(slopes)
+    assert pleating._MIRRORS == {}
+    shuffled = list(slopes)
+    random.Random(3).shuffle(shuffled)
+    assert _cloud(shuffled) == want
+    assert pleating._MIRRORS == {}
+
+
+def test_cone_ring_extracts_both_mirror_slopes(monkeypatch, no_mirrors):
+    # In numeric(3,4) the mirror identity fails (2/5 and 3/5 differ by 37 in
+    # one coefficient), so 3/5 is root-solved on its own.
+    params = GeneratorParams(3, 4)
+    calls = _counted_evaluate(monkeypatch)
+    pleating.cusp_candidates(S("2/5"), params)
+    calls.clear()
+    pleating.cusp_candidates(S("3/5"), params)
+    assert calls and set(calls) == {S("3/5")}
+
+
+def test_concurrent_mirror_requests_match_one_thread(no_mirrors):
+    # Eight threads in rotated orders race on the store: whichever thread
+    # extracts a pair, every set is the one a single thread computes.
+    slopes = enumerate_farey(12)
+    want = _cloud(slopes)
+    start = threading.Barrier(8)
+
+    def work(k):
+        start.wait(timeout=60)
+        return _cloud(slopes[k * 5:] + slopes[:k * 5])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, k) for k in range(8)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert got == want
 
 
 def test_symmetrize_conjugates():

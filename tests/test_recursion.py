@@ -118,6 +118,16 @@ def test_degree_and_constant_term_structure():
     assert farey_polynomial(S("1/0"), "parabolic").coeffs == [2]
 
 
+def test_parabolic_mirror_slopes_negate_z_up_to_60():
+    # p/q -> (q - p)/q swaps the seeds 2 - z and 2 + z and fixes 1/0 and
+    # the constant 8, so P_{(q-p)/q}(z) = P_{p/q}(-z) coefficient by
+    # coefficient; pleating.cusp_candidates relies on it.
+    for s in enumerate_farey(60):
+        mirror = farey_polynomial(Slope(s.q - s.p, s.q), "parabolic").coeffs
+        coeffs = farey_polynomial(s, "parabolic").coeffs
+        assert mirror == [(-1) ** k * c for k, c in enumerate(coeffs)], s
+
+
 def test_recursion_constants_parabolic():
     c_even, c_odd = recursion_constants("parabolic")
     assert c_even == Poly([8]) and c_odd == Poly([8])
@@ -209,7 +219,9 @@ def test_evaluate_matches_polynomial_without_products(ring):
     engine = recursion.get_engine(ring)
     rng = np.random.default_rng(7)
     z = rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12)
-    for s in enumerate_farey(16) + [INFINITY]:
+    # 1/60, 59/60 and 21/55 walk 59, 59 and 8 steps of the Stern-Brocot
+    # path; no slope with q <= 16 takes more than 15.
+    for s in enumerate_farey(16) + [INFINITY, S("1/60"), S("59/60"), S("21/55")]:
         coeffs = [complex(c) for c in engine.polynomial(s).coeffs]
         deriv = [k * c for k, c in enumerate(coeffs)][1:]
         before = poly_mul_count()
