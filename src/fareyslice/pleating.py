@@ -1,24 +1,33 @@
 """Root loci of trace polynomials: slice clouds and cusp approximations.
 
-All roots of P + 2 are extracted with an Aberth-Ehrlich simultaneous
+In the parabolic ring the roots of P + 2 are eigenvalues: for W in
+SL(2), P + 2 = tr W + 2 = det(W + I), and since every Y letter of the
+Farey word is I +- z E_21 and every X letter a constant, that
+determinant is 4 det(I - z G) for a q x q matrix G of quarter integers
+read off the word's exponents (``_transfer_matrix``).  The roots are the
+reciprocal eigenvalues of G, backward-stable for G rather than for
+coefficients as large as 1e20 (Edelman & Murakami 1995), and one Newton
+correction by the triangle recursion finishes them.  Of each parabolic
+mirror pair p/q, (q - p)/q only the lower slope is solved; the other set
+is its negation (``cusp_candidates``).
+
+Every other polynomial is root-solved by an Aberth-Ehrlich simultaneous
 iteration over complex doubles (Aberth 1973, Ehrlich 1967).  The
 iteration has one contract: its evaluator gives P and P' accurate to
-double resolution.  For trace polynomials it evaluates P + 2 and P' by
-the triangle recursion on arrays of points; for any other polynomial
-(``roots``) it evaluates the exact coefficients at each double point in
-Python ints and rounds P and P' once, where double Horner on the
-expanded coefficients would be noise-bound.  The iteration starts from
-the companion-matrix eigenvalues of the coefficients (exact integers are
-Taylor-shifted to the root centroid first), which it only polishes (two
-or three evaluations per parabolic root set for q <= 40); the double
-coefficients also probe the restart circle for overflow and score the
-result; ``all_roots`` states the loop's one restart rule.  Of each
-parabolic mirror pair p/q, (q - p)/q only the lower slope is solved;
-the other set is its negation (``cusp_candidates``).  Reported
-residuals are backward-error scaled, |P(z)| / sum_k |c_k| |z|^k: an
-absolute residual is meaningless for these polynomials, whose terms
-reach 1e20+ at the outermost roots while cancelling to machine
-precision.
+double resolution.  For trace polynomials of the cone rings it evaluates
+P + 2 and P' by the triangle recursion on arrays of points; for any
+other polynomial (``roots``) it evaluates the exact coefficients at each
+double point in Python ints and rounds P and P' once, where double
+Horner on the expanded coefficients would be noise-bound.  The iteration
+starts from the companion-matrix eigenvalues of the coefficients (exact
+integers are Taylor-shifted to the root centroid first), which it only
+polishes; ``all_roots`` states the loop's one restart rule.
+
+Either way the double coefficients probe the largest root's circle for
+overflow and score the result.  Reported residuals are backward-error
+scaled, |P(z)| / sum_k |c_k| |z|^k: an absolute residual is meaningless
+for these polynomials, whose terms reach 1e20+ at the outermost roots
+while cancelling to machine precision.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +44,7 @@ from .errors import DegreeOverflow, FormalVertex
 from .recursion import get_engine
 from .rings import GeneratorParams, Laurent2, Poly, Ring
 from .slopes import CFExpansion, Slope, _mediant_walk, enumerate_farey
+from .words import farey_exponents
 
 __all__ = [
     "RootSet",
@@ -286,12 +296,7 @@ def all_roots(
     converged means the worst scaled residual is below 1e-10.
     """
     exact = list(coeffs)
-    try:
-        cs = [complex(c) for c in exact]
-    except OverflowError:  # an int past double range
-        raise DegreeOverflow("coefficients exceed double range") from None
-    if any(not math.isfinite(c.real) or not math.isfinite(c.imag) for c in cs):
-        raise DegreeOverflow("coefficients exceed double range")
+    cs = _double_coefficients(exact)
     while cs and cs[-1] == 0:
         cs.pop()
     if len(cs) < 2:
@@ -301,12 +306,11 @@ def all_roots(
         zero_roots.append(0j)
         cs = cs[1:]
     exact = exact[len(zero_roots):len(zero_roots) + len(cs)]
+    c = np.array(cs, dtype=complex)
     deg = len(cs) - 1
     if deg == 0:
         roots_arr = np.array([], dtype=complex)
     else:
-        c = np.array(cs, dtype=complex)
-        abs_rev = np.abs(c[::-1])
         if evaluate is None:
             evaluate = _exact_evaluator(exact)
         elif zero_roots:
@@ -324,12 +328,7 @@ def all_roots(
         # P is finite on the circle of the largest initial guess, or the
         # probe fails; particles restart there.
         restart = float(np.max(np.abs(z)))
-        with np.errstate(over="ignore"):
-            probe = float(np.polyval(abs_rev, restart))
-        if not math.isfinite(probe):
-            raise DegreeOverflow(
-                "polynomial values overflow double range during iteration"
-            )
+        _probe_overflow(c, restart)
         escape_rotation = 0.0
         settled = False
         for _ in range(_MAX_ITER):
@@ -360,12 +359,47 @@ def all_roots(
         for _ in range(0 if settled else 3):
             newton = newton_ratio(z)
             z = np.where(np.isfinite(newton), z - newton, z)
-        if np.all(np.isreal(c)):
-            z = _symmetrize_conjugates(z)
         roots_arr = z
-    res = _scaled_residuals(np.array(cs, dtype=complex), roots_arr) if deg else np.array([])
-    converged = not deg or float(np.max(res)) < _CONVERGED_RESIDUAL
-    found = list(zero_roots) + [complex(z) for z in roots_arr]
+    return _verdict(c, roots_arr, zero_roots)
+
+
+def _double_coefficients(coeffs: list) -> list[complex]:
+    """The coefficients as complex doubles; ``DegreeOverflow`` past double
+    range."""
+    try:
+        cs = [complex(c) for c in coeffs]
+    except OverflowError:  # an int past double range
+        raise DegreeOverflow("coefficients exceed double range") from None
+    if any(not math.isfinite(c.real) or not math.isfinite(c.imag) for c in cs):
+        raise DegreeOverflow("coefficients exceed double range")
+    return cs
+
+
+def _probe_overflow(c: np.ndarray, r: float) -> None:
+    """Raise ``DegreeOverflow`` unless sum_k |c_k| r^k is finite: every
+    value of the polynomial, and every residual scale, on |z| <= r is then
+    finite too."""
+    with np.errstate(over="ignore"):
+        probe = float(np.polyval(np.abs(c[::-1]), r))
+    if not math.isfinite(probe):
+        raise DegreeOverflow("polynomial values overflow double range during iteration")
+
+
+def _verdict(
+    c: np.ndarray, z: np.ndarray, zero_roots: Sequence[complex] = ()
+) -> tuple[list[complex], list[float], bool]:
+    """(roots, scaled residuals, converged) of the roots ``z`` of the
+    deflated ascending coefficients ``c`` and the split-off ``zero_roots``.
+
+    Real coefficients get their conjugate candidates paired
+    (``_symmetrize_conjugates``); converged means the worst scaled
+    residual is below 1e-10; the roots are sorted by ``_root_order``.
+    """
+    if len(z) and np.all(np.isreal(c)):
+        z = _symmetrize_conjugates(z)
+    res = _scaled_residuals(c, z) if len(z) else np.array([])
+    converged = not len(z) or float(np.max(res)) < _CONVERGED_RESIDUAL
+    found = list(zero_roots) + [complex(w) for w in z]
     residuals = [0.0] * len(zero_roots) + [float(r) for r in res]
     order = sorted(range(len(found)), key=lambda i: _root_order(found[i]))
     return (
@@ -403,7 +437,10 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
 
     These approximate the boundary of the (parabolic or cone-angle)
     slice; which of them are genuine cusp points is an open question.
-    The iteration evaluates P + 2 and P' by the triangle recursion.
+    Parabolic roots are the transfer matrix's reciprocal eigenvalues
+    after one Newton correction, cone-ring roots come from the Aberth
+    loop (``_extract``); both evaluate P + 2 and P' by the triangle
+    recursion.
 
     In the parabolic ring the slope map p/q -> (q - p)/q swaps the seeds
     2 - z and 2 + z and fixes 1/0 and the constant 8, so
@@ -433,7 +470,16 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
 
 
 def _extract(s: Slope, ring: Ring) -> RootSet:
-    """Aberth on the slope's P + 2, evaluated by the triangle recursion."""
+    """All roots of the slope's P + 2.
+
+    In the parabolic ring they are the reciprocal eigenvalues of the
+    word's transfer matrix (``_transfer_matrix``), each moved by one
+    Newton correction from the triangle recursion.  In the cone rings the
+    Aberth loop of ``all_roots`` finds them, evaluating P + 2 by the
+    triangle recursion too.  Either way the coefficients only score the
+    roots (and seed the loop): the roots come from the recursion's values,
+    so exact integers past 2**53 may round to doubles.
+    """
     engine = get_engine(ring)
     two = ring.coeff(Laurent2.const(2))
 
@@ -441,12 +487,50 @@ def _extract(s: Slope, ring: Ring) -> RootSet:
         p, dp = engine.evaluate(s, z)
         return p + two, dp
 
-    # The coefficients only seed, probe and score the iteration: the roots
-    # come from the recursion's values, so exact integers past 2**53 may
-    # round to doubles.
     coeffs = (engine.polynomial(s) + Poly([two])).coeffs
-    rs, res, ok = all_roots(coeffs, evaluate=shifted)
+    if ring.name == "parabolic":
+        c = np.array(_double_coefficients(coeffs))
+        z = 1.0 / np.linalg.eigvals(_transfer_matrix(s))
+        _probe_overflow(c, float(np.max(np.abs(z))))
+        with np.errstate(all="ignore"):
+            p, dp = shifted(z)
+            newton = p / dp
+        rs, res, ok = _verdict(c, np.where(np.isfinite(newton), z - newton, z))
+    else:
+        rs, res, ok = all_roots(coeffs, evaluate=shifted)
     return RootSet(slope=s, ring=ring.label, roots=rs, residuals=res, converged=ok)
+
+
+def _transfer_matrix(s: Slope) -> np.ndarray:
+    """The q x q matrix G with P_{p/q}(z) + 2 = 4 det(I - z G), parabolic.
+
+    Take the Farey word's letters right to left, in the order they act on
+    a vector.  Let eps_k be the exponent of the k-th Y letter, N_k the sum
+    of the X exponents met before it and N the sum of all X exponents.
+    With T(n) = X^n = I + n E_12, the word matrix telescopes into
+
+        W = T(N) (I + z eps_q u_q w_q^T) ... (I + z eps_1 u_1 w_1^T),
+
+    with u_k = T(-N_k) e_2 and w_k^T = e_1^T T(N_k), since
+    Y^eps = I + z eps E_21.  Such a product of rank-one updates is
+    I + U (I - S)^-1 B^T, where U has columns z eps_j u_j, B rows w_k^T
+    and S_kj = z eps_j w_k^T u_j for j < k (strictly lower).  For W in
+    SL(2), P + 2 = tr W + 2 = det(W + I), and the determinant lemma with
+    det(T(N) + I) = 4, det(I - S) = 1 and
+    (T(N) + I)^-1 T(N) = I / 2 + (N / 4) E_12 leaves det(I - z G) with
+
+        G_kj = eps_j (-N/4 + (N_k - N_j)/2)   for j < k,
+        G_kj = eps_j (-N/4 - (N_k - N_j)/2)   for j >= k.
+
+    The entries are multiples of 1/4, so exact in doubles; the roots of
+    P + 2 are the reciprocals of G's eigenvalues.  G is invertible, since
+    P + 2 has degree q.
+    """
+    e = np.array(farey_exponents(s))
+    eps = e[-2::-2]  # Y letters, right to left
+    n = np.cumsum(e[::-2])  # X letters, right to left
+    d = (n[:, None] - n[None, :]) / 2
+    return (np.where(np.tri(s.q, k=-1, dtype=bool), d, -d) - n[-1] / 4) * eps
 
 
 def _mirrored(rs: RootSet) -> RootSet:

@@ -79,8 +79,8 @@ def _seeds(ring: Ring) -> dict[Slope, Poly]:
 def farey_triangle(t: Slope) -> tuple[Slope, Slope, Slope]:
     """(a, b, d): the parents of ``t`` and their difference vertex a (-) b.
 
-    Cached: every descent through ``t`` (each ring's polynomials, each
-    evaluation plan) needs the same triangle.
+    Cached: every ``descend`` through ``t`` (each ring's polynomials, the
+    homogeneous family, ``frf.frf_eval``) needs the same triangle.
     """
     a, b = parents(t)
     return a, b, ominus(a, b)

@@ -16,6 +16,7 @@ from .slopes import Slope, is_neighbor, mediant
 __all__ = [
     "Letter",
     "Word",
+    "farey_exponents",
     "farey_word",
     "concat_flip",
     "free_reduce",
@@ -68,10 +69,10 @@ class Word:
         return cls(tuple(Letter.from_char(c) for c in text))
 
 
-def farey_word(s: Slope) -> Word:
-    """The Farey word of a finite slope.
+def farey_exponents(s: Slope) -> list[int]:
+    """The +-1 exponents of the Farey word's 2q letters, in word order.
 
-    Letter i (1-based) is Y-type for odd i and X-type for even i; the
+    Letter i (1-based) is Y-type for odd i and X-type for even i; its
     exponent is +1 exactly when floor(p*i/q) + 1 + i is odd, which encodes
     the rounded line heights of the cutting sequence with integer heights
     rounded up one extra step.
@@ -79,12 +80,20 @@ def farey_word(s: Slope) -> Word:
     if s.is_infinite:
         raise FormalVertex("1/0 has no Farey word")
     p, q = s.p, s.q
-    letters = []
-    for i in range(1, 2 * q + 1):
-        gen = "Y" if i % 2 else "X"
-        exp = 1 if (p * i // q + 1 + i) % 2 else -1
-        letters.append(Letter(gen, exp))
-    return Word(tuple(letters))
+    return [1 if (p * i // q + 1 + i) % 2 else -1 for i in range(1, 2 * q + 1)]
+
+
+# The four letters, indexed by [letter index parity][exponent]: a Farey
+# word shares these instances (``Letter`` is frozen).
+_LETTERS = (
+    {1: Letter("X", 1), -1: Letter("X", -1)},
+    {1: Letter("Y", 1), -1: Letter("Y", -1)},
+)
+
+
+def farey_word(s: Slope) -> Word:
+    """The Farey word of a finite slope, spelled by ``farey_exponents``."""
+    return Word(tuple(_LETTERS[i & 1][e] for i, e in enumerate(farey_exponents(s), 1)))
 
 
 def concat_flip(a: Slope, b: Slope) -> Word:

@@ -18,7 +18,7 @@ from fareyslice import (
     enumerate_farey,
     farey_polynomial,
 )
-from fareyslice import pleating, recursion
+from fareyslice import oracle, pleating, recursion
 from fareyslice.errors import DegreeOverflow
 
 # Exact evaluation oracle for forward accuracy.  Doubles are dyadic
@@ -118,20 +118,37 @@ def test_roots_of_modulus_1e_6_are_resolved():
 
 
 def test_roots_rejects_overflowing_evaluation():
-    # finite coefficients whose evaluation overflows doubles on the
-    # restart circle (the largest initial guess); the probe itself must
-    # not warn (RuntimeWarnings are errors under pytest).  Each mirror
-    # partner raises too: its set is derived from the same extraction.
-    for s in (Slope(1, 400), Slope(399, 400), Slope(610, 987), Slope(377, 987)):
+    # finite coefficients whose evaluation overflows doubles on the circle
+    # of the largest root; the probe itself must not warn (RuntimeWarnings
+    # are errors under pytest).  Each mirror partner raises too: its set
+    # is derived from the same extraction.
+    for s in (Slope(610, 987), Slope(377, 987)):
         with pytest.raises(DegreeOverflow):
             pleating.cusp_candidates(s)
 
 
-# Past q = 128: the restart circle lies at the largest companion
-# eigenvalue, where P is still finite for these slopes.  1/256 and
-# 233/377 need the centroid-shifted guesses: unshifted, the largest guess
-# lay at |z| = 34 and 10, far outside the roots (|z| <= 4), and P
-# overflowed there.
+def test_cusp_candidates_at_q_400(no_mirrors):
+    # The transfer-matrix roots need no coefficients, and P + 2 stays
+    # finite on the circle of the largest root, |z| < 4.  The exact
+    # Newton correction (``_exact_evaluator`` rounds P and P' once) is
+    # checked on 1/400; 399/400 is its exact negation.
+    lower = pleating.cusp_candidates(Slope(1, 400))
+    upper = pleating.cusp_candidates(Slope(399, 400))
+    for rs in (lower, upper):
+        assert len(rs.roots) == 400 and rs.converged
+        assert all(z.conjugate() in rs.roots for z in rs.roots), rs.slope
+    assert sorted(upper.roots, key=lambda z: (z.real, z.imag)) == sorted(
+        (complex(-z.real + 0.0, -z.imag + 0.0) for z in lower.roots),
+        key=lambda z: (z.real, z.imag),
+    )
+    z = np.array(lower.roots)
+    shifted = (farey_polynomial(Slope(1, 400), "parabolic") + Poly([2])).coeffs
+    p, dp = pleating._exact_evaluator(shifted)(z)
+    assert np.all(np.abs(p / dp) <= 1e-12 * (1 + np.abs(z)))
+
+
+# Past q = 128: P + 2 is still finite on the circle of the largest root
+# (|z| < 4) for these slopes, so the overflow probe passes.
 @pytest.mark.parametrize(
     "s",
     [Slope(1, 129), Slope(169, 239), Slope(1, 256), Slope(233, 377)],
@@ -246,20 +263,66 @@ def no_mirrors(monkeypatch):
 
 
 def test_cusp_candidates_iteration_budget(monkeypatch, no_mirrors):
-    # Centroid-shifted guesses are close enough that every parabolic set
-    # with q <= 30 passes the step test within 3 evaluator calls, fans
-    # 1/q and (q - 1)/q included.  In (q, p) order each upper slope of a
-    # mirror pair comes after its lower partner and takes no call.  The
-    # converged flag is the residual test, whatever the step test said.
+    # Every extracted parabolic set takes exactly one evaluator call, the
+    # Newton correction of its transfer-matrix roots, fans 1/q and
+    # (q - 1)/q included.  In (q, p) order each upper slope of a mirror
+    # pair comes after its lower partner and takes no call.  The converged
+    # flag is the residual test.
     calls = _counted_evaluate(monkeypatch)
     for s in enumerate_farey(30):
         calls.clear()
         rs = pleating.cusp_candidates(s)
-        assert rs.converged and len(calls) <= 3, (s, len(calls))
-        if 2 * s.p > s.q:
-            assert calls == [], s
+        assert rs.converged, s
+        assert calls == ([] if 2 * s.p > s.q else [s]), s
         assert rs.converged == (max(rs.residuals) < 1e-10), s
     assert pleating._MIRRORS == {}
+
+
+def _charpoly(a: list[list[int]]) -> list[int]:
+    """Ascending coefficients of det(mu I - a) for an integer matrix, by
+    Faddeev-LeVerrier: M_k = a M_(k-1) + c_(n-k+1) I and
+    c_(n-k) = -tr(a M_k) / k, exact in integers."""
+    n = len(a)
+    c = [0] * n + [1]
+    am = [[0] * n for _ in range(n)]  # a M_0, M_0 = 0
+    for k in range(1, n + 1):
+        m = [[am[i][j] + (c[n - k + 1] if i == j else 0) for j in range(n)] for i in range(n)]
+        am = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        c[n - k], rest = divmod(-sum(am[i][i] for i in range(n)), k)
+        assert rest == 0
+    return c
+
+
+def test_transfer_matrix_determinant_is_p_plus_2():
+    # P + 2 = 4 det(I - z G) exactly.  G's entries are quarter integers,
+    # so H = 4 G is an integer matrix with det(I - (z/4) H) =
+    # sum_m chi_(n-m) (z/4)^m, chi its characteristic polynomial.
+    for s in enumerate_farey(14):
+        g = pleating._transfer_matrix(s)
+        h = [[Fraction(x) * 4 for x in row] for row in g.tolist()]
+        assert all(x.denominator == 1 for row in h for x in row), s
+        chi = _charpoly([[int(x) for x in row] for row in h])
+        got = [Fraction(4 * chi[s.q - m], 4**m) for m in range(s.q + 1)]
+        for poly in (recursion.farey_polynomial(s), oracle.farey_polynomial(s, "parabolic")):
+            assert got == (poly + Poly([2])).coeffs, s
+
+
+def test_transfer_matrix_roots_match_the_aberth_loop(no_mirrors):
+    # The eigenvalue route against the Aberth loop on the same recursion
+    # evaluator, root for root, for every slope with q <= 40.
+    engine = recursion.get_engine("parabolic")
+    for s in enumerate_farey(40):
+        found = np.array(pleating.cusp_candidates(s).roots)
+        coeffs = (engine.polynomial(s) + Poly([2])).coeffs
+
+        def shifted(z, s=s):
+            p, dp = engine.evaluate(s, z)
+            return p + 2, dp
+
+        want = np.array(pleating.all_roots(coeffs, evaluate=shifted)[0])
+        dist = np.abs(found[:, None] - want[None, :])
+        assert len(set(dist.argmin(axis=1).tolist())) == len(found) == s.q, s
+        assert np.all(dist.min(axis=1) <= 1e-13 * np.maximum(1.0, np.abs(want[dist.argmin(axis=1)]))), s
 
 
 def _is_negative_zero(x: float) -> bool:
@@ -456,11 +519,11 @@ def test_cusp_candidates_forward_accurate_up_to_40():
             assert abs(step) <= 1e-12 * (1 + abs(z)), (s, z, step)
 
 
-# 98/99: the first Aberth step flings a particle to |z| ~ 4e3, where P
-# overflows doubles; the particle must restart, not spread NaN.
-# 127/128 (and, in the cone ring, 3/128 and 47/128): P overflows even on
-# the circle of Fujiwara's root bound, so a particle must restart on the
-# circle of the largest initial guess, where P is finite.
+# In the cone ring, 3/128 and 47/128: P overflows even on the circle of
+# Fujiwara's root bound, so an Aberth particle must restart on the circle
+# of the largest initial guess, where P is finite.  The parabolic 89/144,
+# 98/99 and 127/128, where P overflows doubles far outside the roots,
+# meet the same checks.
 @pytest.mark.parametrize(
     "s, params",
     [
