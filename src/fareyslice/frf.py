@@ -65,7 +65,7 @@ class FRFSpec:
         needed = {ZERO, ONE, INFINITY}
         if not needed <= set(self.seeds):
             raise ValueError("seeds must cover 0/1, 1/1 and 1/0")
-        self._cache.update(self.seeds)
+        self._cache.update({(s.p, s.q): v for s, v in self.seeds.items()})
 
     @property
     def is_anti_determinant(self) -> bool:
@@ -73,14 +73,20 @@ class FRFSpec:
 
 
 def frf_eval(spec: FRFSpec, s: Slope):
-    """Value of the recursive function at a slope, by memoized descent."""
+    """Value of the recursive function at a slope.
+
+    ``recursion.descend`` walks the Stern-Brocot path to ``s`` and fills
+    the spec's cache, keyed by (p, q) pairs, at each mediant the cache
+    lacks; the d1, d2 and d3 maps see the parent alpha as a ``Slope``.
+    """
     cache = spec._cache
 
-    def step(t: Slope, a: Slope, b: Slope, diff: Slope):
-        # alpha is the parent with the smaller denominator.
-        alpha, beta = (a, b) if (a.q, a.p) < (b.q, b.p) else (b, a)
-        d2val = -cache[alpha] if spec.d2 is None else spec.d2(alpha)
-        return -(spec.d1(alpha) * cache[diff]) + d2val * cache[beta] + spec.d3(alpha)
+    def step(t: tuple, a: tuple, b: tuple, diff: tuple):
+        # alpha is the parent with the smaller denominator (0/1 against 1/1).
+        alpha, beta = (a, b) if a[1] <= b[1] else (b, a)
+        slope = Slope(*alpha)
+        d2val = -cache[alpha] if spec.d2 is None else spec.d2(slope)
+        return -(spec.d1(slope) * cache[diff]) + d2val * cache[beta] + spec.d3(slope)
 
     return descend(cache, s, step)
 

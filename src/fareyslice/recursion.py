@@ -10,18 +10,17 @@ where C is the even/odd recursion constant of the ring (both equal 8 in
 the parabolic case).  Values are exact in the parabolic and generic
 rings and complex doubles in the numeric ring.
 
-One kernel, ``descend``, walks the graph for every recursion in the
-package: it fills a slope-keyed cache from its seeds down to the target,
-calling a ``step`` once per new slope.  The ring engines, the
-homogeneous family (the parabolic recursion with C = 0) and
-``frf.frf_eval`` differ only in their seeds and step.
-
-The same triangle step also runs on complex numbers:
-``FareyPolynomialEngine.evaluate`` walks the Stern-Brocot path to the
-slope on numpy arrays, holding only the current interval and its third
-vertex, and gives P and P' at many points at once with no polynomial
-product and without the cancellation of Horner's rule on the expanded
-coefficients.
+One kernel, ``descend``, walks the Stern-Brocot path to a slope from the
+interval (0/1, 1/1) with third vertex 1/0 and calls a ``step`` once per
+mediant of the path that its cache lacks.  Every recursion of the
+package runs on this one walk and differs only in its cache, seeds and
+step: the ring engines, the homogeneous family (the parabolic recursion
+with C = 0), ``frf.frf_eval``, and ``FareyPolynomialEngine.evaluate``,
+which runs the same triangle step on numpy arrays and so gives P and P'
+at many complex points at once, with no polynomial product and without
+the cancellation of Horner's rule on the expanded coefficients.  Caches
+are keyed by (p, q) int pairs, which hash faster than the frozen
+``Slope`` dataclass.
 
 Cache discipline: one engine per ring, entries immutable once inserted.
 Each engine populates its caches under its own lock and ``get_engine``
@@ -31,7 +30,6 @@ engine per ring and only ever observe completed entries.
 
 from __future__ import annotations
 
-import functools
 import threading
 from typing import Callable
 
@@ -39,16 +37,7 @@ import numpy as np
 
 from . import oracle
 from .rings import Laurent2, Poly, Ring, RingSpec
-from .slopes import (
-    INFINITY,
-    ONE,
-    ZERO,
-    CFExpansion,
-    Slope,
-    ominus,
-    parents,
-    semiconvergent_path,
-)
+from .slopes import CFExpansion, Slope, semiconvergent_path
 
 __all__ = [
     "FareyPolynomialEngine",
@@ -62,56 +51,46 @@ __all__ = [
     "get_engine",
 ]
 
-# Values at 0/1, 1/1 and 1/0 with generic coefficients; every ring starts
-# from their specialisation.
+# Values at 0/1, 1/1 and 1/0 with generic coefficients, keyed by (p, q);
+# every ring starts from their specialisation.
 _GENERIC_SEEDS = {
-    ZERO: Poly([Laurent2({(1, -1): 1, (-1, 1): 1}), Laurent2.const(-1)]),
-    ONE: Poly([Laurent2({(1, 1): 1, (-1, -1): 1}), Laurent2.const(1)]),
-    INFINITY: Poly([Laurent2.const(2)]),
+    (0, 1): Poly([Laurent2({(1, -1): 1, (-1, 1): 1}), Laurent2.const(-1)]),
+    (1, 1): Poly([Laurent2({(1, 1): 1, (-1, -1): 1}), Laurent2.const(1)]),
+    (1, 0): Poly([Laurent2.const(2)]),
 }
 
 
-def _seeds(ring: Ring) -> dict[Slope, Poly]:
-    return {s: Poly([ring.coeff(c) for c in p.coeffs]) for s, p in _GENERIC_SEEDS.items()}
-
-
-@functools.cache
-def farey_triangle(t: Slope) -> tuple[Slope, Slope, Slope]:
-    """(a, b, d): the parents of ``t`` and their difference vertex a (-) b.
-
-    Cached: every ``descend`` through ``t`` (each ring's polynomials, the
-    homogeneous family, ``frf.frf_eval``) needs the same triangle.
-    """
-    a, b = parents(t)
-    return a, b, ominus(a, b)
+def _seeds(ring: Ring) -> dict[tuple[int, int], Poly]:
+    return {k: Poly([ring.coeff(c) for c in p.coeffs]) for k, p in _GENERIC_SEEDS.items()}
 
 
 def descend(cache: dict, s: Slope, step: Callable) -> object:
-    """The value at ``s``, filling ``cache`` down the Farey graph.
+    """The value at ``s``, filling ``cache`` along its Stern-Brocot path.
 
-    ``step(t, a, b, d)`` returns the value at a new slope t from its
-    parents a, b and the difference vertex d = a (-) b, all of them
-    already in ``cache``; it runs once per slope added.  Package-internal,
-    so not exported.
+    ``cache`` is keyed by (p, q) pairs and holds at least 0/1, 1/1 and
+    1/0.  The walk starts at the interval (a, b) = (0/1, 1/1) with third
+    vertex d = 1/0.  At each mediant t of a and b, if ``cache`` lacks t,
+    it stores ``step(t, a, b, d)``: all four are (p, q) pairs, a < b are
+    the parents of t, d = a (-) b is the third vertex of their triangle,
+    and all three are already in ``cache``.  Then it keeps the half that
+    holds ``s``: (a, t) with d = b, or (t, b) with d = a.  So ``step``
+    runs once per slope added, and the cache ends up holding every slope
+    of the path.  Package-internal, so not exported.
     """
-    if s in cache:
-        return cache[s]
-    # Iterative worklist: long left fans would overflow Python's
-    # recursion limit well below the depths the benchmark uses.
-    stack = [s]
-    while stack:
-        t = stack[-1]
-        if t in cache:
-            stack.pop()
-            continue
-        a, b, d = farey_triangle(t)
-        missing = [u for u in (a, b, d) if u not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        cache[t] = step(t, a, b, d)
-    return cache[s]
+    p, q = s.p, s.q
+    if (p, q) in cache:
+        return cache[p, q]
+    a, b, d = (0, 1), (1, 1), (1, 0)
+    while True:
+        t = (a[0] + b[0], a[1] + b[1])
+        if t not in cache:
+            cache[t] = step(t, a, b, d)
+        if t == (p, q):
+            return cache[t]
+        if p * t[1] < t[0] * q:
+            b, d = t, b
+        else:
+            a, d = t, a
 
 
 class FareyPolynomialEngine:
@@ -121,7 +100,7 @@ class FareyPolynomialEngine:
         self.ring = ring
         parsed = Ring.parse(ring)
         self._scalar = parsed.name != "generic"
-        self._cache: dict[Slope, Poly] = _seeds(parsed)
+        self._cache: dict[tuple[int, int], Poly] = _seeds(parsed)
         self._constants = recursion_constants(ring)
         self._lock = threading.Lock()
 
@@ -129,52 +108,44 @@ class FareyPolynomialEngine:
         with self._lock:
             return descend(self._cache, s, self._step)
 
-    def _step(self, t: Slope, a: Slope, b: Slope, d: Slope) -> Poly:
+    def _step(self, t: tuple, a: tuple, b: tuple, d: tuple) -> Poly:
         cache = self._cache
-        return self._constants[t.q % 2] - cache[a] * cache[b] - cache[d]
+        return self._constants[t[1] % 2] - cache[a] * cache[b] - cache[d]
 
     def evaluate(self, s: Slope, z) -> tuple[np.ndarray, np.ndarray]:
         """(P(z), P'(z)) at every point of the complex array ``z``.
 
-        Walks the Stern-Brocot path to ``s`` on arrays, from the interval
-        (L, R) = (0/1, 1/1) with third vertex D = 1/0.  Each step computes
-        the mediant M, whose parents are (L, R) in that order,
-        v_M = C - v_L v_R - v_D and v'_M = -(v'_L v_R + v_L v'_R) - v'_D,
-        and keeps the half that holds ``s``: (L, M) with D = R, or (M, R)
-        with D = L.  It multiplies no polynomials and keeps no state
-        between calls.  The generic ring has no scalar values and raises
-        ValueError.
+        ``descend`` over a per-call cache of (value, derivative) arrays:
+        the step at a mediant t with parents a, b and third vertex d is
+        v_t = C - v_a v_b - v_d and v'_t = -(v'_a v_b + v_a v'_b) - v'_d.
+        It multiplies no polynomials, keeps no state between calls, and
+        holds every value of the path until it returns: 5.3 MB at 1/400
+        for 400 points, against 0.09 MB for a walk that held only the
+        interval and its third vertex.  The generic ring has no scalar
+        values and raises ValueError.
         """
         if not self._scalar:
             raise ValueError("the generic ring has no scalar values to evaluate at")
         z = np.asarray(z, dtype=complex)
-        seeds = {}
-        for u in _GENERIC_SEEDS:
-            c = self._cache[u].coeffs + [0, 0]
-            seeds[u] = (c[0] + c[1] * z, np.full_like(z, c[1]))
-        if s in seeds:
-            return seeds[s]
+        values = {}
+        for k in _GENERIC_SEEDS:
+            c = self._cache[k].coeffs + [0, 0]
+            values[k] = (c[0] + c[1] * z, np.full_like(z, c[1]))
         consts = [c.constant() for c in self._constants]
-        (vl, dl), (vr, dr), (vd, dd) = seeds[ZERO], seeds[ONE], seeds[INFINITY]
-        lp, lq, rp, rq = 0, 1, 1, 1
-        while True:
-            mp, mq = lp + rp, lq + rq
-            vm = consts[mq % 2] - vl * vr - vd
-            dm = -(dl * vr + vl * dr) - dd
-            if (mp, mq) == (s.p, s.q):
-                return vm, dm
-            if s.p * mq < mp * s.q:
-                rp, rq, vr, dr, vd, dd = mp, mq, vm, dm, vr, dr
-            else:
-                lp, lq, vl, dl, vd, dd = mp, mq, vm, dm, vl, dl
+
+        def step(t, a, b, d):
+            (va, da), (vb, db), (vd, dd) = values[a], values[b], values[d]
+            return consts[t[1] % 2] - va * vb - vd, -(da * vb + va * db) - dd
+
+        return descend(values, s, step)
 
     def cached_slopes(self) -> list[Slope]:
-        return list(self._cache)
+        return [Slope(p, q) for p, q in self._cache]
 
 
 _ENGINES: dict = {}
 _ENGINES_LOCK = threading.Lock()
-_HOMOGENEOUS: dict[Slope, Poly] = _seeds(Ring.parse("parabolic"))
+_HOMOGENEOUS: dict[tuple[int, int], Poly] = _seeds(Ring.parse("parabolic"))
 _HOMOGENEOUS_LOCK = threading.Lock()
 
 

@@ -21,31 +21,6 @@ from fareyslice import (
 from fareyslice import oracle, pleating, recursion
 from fareyslice.errors import DegreeOverflow
 
-# Exact evaluation oracle for forward accuracy.  Doubles are dyadic
-# rationals, so Horner's rule over integers scaled by 2**FIXED_BITS rounds
-# only in one floor shift per step (about 2**-128 relative).
-FIXED_BITS = 128
-
-
-def _to_fixed(x: float) -> int:
-    m, e = math.frexp(x)
-    mantissa = int(m * (1 << 53))
-    shift = e - 53 + FIXED_BITS
-    return mantissa << shift if shift >= 0 else mantissa >> -shift
-
-
-def eval_dyadic(int_coeffs: list[int], z: complex) -> complex:
-    x, y = _to_fixed(z.real), _to_fixed(z.imag)
-    re = im = 0
-    for c in reversed(int_coeffs):
-        re, im = (
-            ((re * x - im * y) >> FIXED_BITS) + (c << FIXED_BITS),
-            (re * y + im * x) >> FIXED_BITS,
-        )
-    scale = 1 << FIXED_BITS
-    return complex(re / scale, im / scale)
-
-
 def assert_root_set_properties(rs, coeffs):
     """Criterion 11 on one root set of the polynomial with ``coeffs``:
     count, residual < 1e-8, converged, conjugation closure and the Vieta
@@ -509,14 +484,14 @@ def test_slice_cloud_elliptic_forward_checks():
 
 
 def test_cusp_candidates_forward_accurate_up_to_40():
-    # The exact Newton correction at every root is within 1e-12 relative.
+    # The exact Newton correction at every root is within 1e-12 relative:
+    # ``_exact_evaluator`` rounds P and P' once each from exact ints.
     for s in enumerate_farey(40):
-        rs = pleating.cusp_candidates(s)
+        z = np.array(pleating.cusp_candidates(s).roots)
         shifted = (farey_polynomial(s, "parabolic") + Poly([2])).coeffs
-        deriv = [k * c for k, c in enumerate(shifted)][1:]
-        for z in rs.roots:
-            step = eval_dyadic(shifted, z) / eval_dyadic(deriv, z)
-            assert abs(step) <= 1e-12 * (1 + abs(z)), (s, z, step)
+        p, dp = pleating._exact_evaluator(shifted)(z)
+        step = np.abs(p / dp)
+        assert np.all(step <= 1e-12 * (1 + np.abs(z))), (s, step.max())
 
 
 # In the cone ring, 3/128 and 47/128: P overflows even on the circle of

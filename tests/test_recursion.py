@@ -186,6 +186,37 @@ def test_cubic_step_reproduces_fan_values():
         window = [window[1], window[2], value]
 
 
+def _stern_brocot_path(s):
+    """The mediants from 0/1 and 1/1 down to ``s``, by parents alone: the
+    step before a mediant is its parent with the larger denominator."""
+    path = []
+    while s.q > 1:
+        path.append(s)
+        s = max(parents(s), key=lambda u: u.q)
+    return path
+
+
+def test_descend_walks_the_stern_brocot_path_by_triangles():
+    # Checked against the triangle definition in slopes: each new slope t
+    # gets (a, b) = parents(t) and d = a (-) b, all three already cached,
+    # and a seeds-only cache ends up with the seeds plus the path.
+    seeds = recursion._seeds(Ring.parse("parabolic"))
+    for s in enumerate_farey(30) + [S("1/60"), S("59/60")]:
+        cache = dict(seeds)
+        calls = []
+
+        def step(*triangle):
+            assert all(u in cache for u in triangle[1:]), (s, triangle)
+            t, a, b, d = (Slope(*u) for u in triangle)
+            assert (a, b) == parents(t) and d == ominus(a, b), (s, t)
+            calls.append(t)
+
+        recursion.descend(cache, s, step)
+        path = _stern_brocot_path(s)
+        assert sorted(calls) == sorted(path), s
+        assert set(cache) == set(seeds) | {(u.p, u.q) for u in path}, s
+
+
 def _fresh_descent(kind, monkeypatch):
     """(cache, compute) for one user of the descent kernel, seeds only."""
     if kind == "homogeneous":
