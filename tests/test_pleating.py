@@ -20,6 +20,7 @@ from fareyslice import (
 )
 from fareyslice import oracle, pleating, recursion
 from fareyslice.errors import DegreeOverflow
+from fareyslice.words import farey_exponents
 
 def assert_root_set_properties(rs, coeffs):
     """Criterion 11 on one root set of the polynomial with ``coeffs``:
@@ -282,6 +283,26 @@ def test_transfer_matrix_determinant_is_p_plus_2():
             assert got == (poly + Poly([2])).coeffs, s
 
 
+def test_transfer_matrix_inverse_is_integer_cyclic_tridiagonal():
+    # G = A diag(eps) with A symmetric, 4A integral, and A^-1 = T an
+    # integer matrix with entries in {0, +-1, +-2}, nonzero only on the
+    # three middle diagonals and in the two corners: 4A T = 4I exactly,
+    # in int64, for every slope with 3 <= q <= 60.
+    for s in enumerate_farey(60):
+        if s.q < 3:
+            continue
+        eps = np.array(farey_exponents(s))[-2::-2]
+        assert set(eps.tolist()) <= {-1, 1}, s
+        a4 = 4 * pleating._transfer_matrix(s) * eps
+        a = a4.astype(np.int64)
+        assert np.array_equal(a, a4) and np.array_equal(a, a.T), s
+        t = np.rint(np.linalg.inv(a4 / 4)).astype(np.int64)
+        assert np.array_equal(a @ t, 4 * np.eye(s.q, dtype=np.int64)), s
+        gap = np.abs(np.subtract.outer(np.arange(s.q), np.arange(s.q)))
+        assert not t[(gap > 1) & (gap < s.q - 1)].any(), s
+        assert np.abs(t).max() <= 2, s
+
+
 def test_transfer_matrix_roots_match_the_aberth_loop(no_mirrors):
     # The eigenvalue route against the Aberth loop on the same recursion
     # evaluator, root for root, for every slope with q <= 40.
@@ -370,6 +391,58 @@ def test_concurrent_mirror_requests_match_one_thread(no_mirrors):
         sys.setswitchinterval(interval)
     for got in results:
         assert got == want
+
+
+def _round_key(z):
+    return round(z.real, 12), round(z.imag, 12)
+
+
+def test_order_key_is_round_to_12_decimals():
+    # Bit for bit, on uniform samples, on doubles next to the half-integers
+    # of the 12th decimal (where x * 1e12 can round across them), on -0.0
+    # and subnormals, and from 8192 on up to 1e300.
+    rng = np.random.default_rng(20)
+    halves = (rng.integers(-4 * 10**12, 4 * 10**12, 2000) + 0.5) / 1e12
+    near = np.concatenate([np.nextafter(halves, side) for side in (-np.inf, np.inf)])
+    x = np.concatenate([
+        rng.uniform(-4, 4, 200_000),
+        halves,
+        near,
+        np.nextafter(near, np.inf),
+        rng.uniform(-1e4, 1e4, 2000),
+        [0.0, -0.0, 5e-324, -1e-13, 5e-13, 8191.9999999999995, 8192.0, -8192.5, 1e300, -1e300],
+    ])
+    want = [round(v, 12).hex() for v in x.tolist()]
+    assert [v.hex() for v in pleating._order_key(x).tolist()] == want
+
+
+def test_residuals_are_the_polyval_residuals(no_mirrors):
+    # ``_verdict``'s one Horner pass against separate np.polyval calls for
+    # the values and the scales, bit for bit, on parabolic sets (lower,
+    # upper and 1/2) and numeric(3,4) sets.
+    for s, params in [(s, None) for s in enumerate_farey(16)] + [
+        (s, GeneratorParams(3, 4)) for s in enumerate_farey(10)
+    ]:
+        rs = pleating.cusp_candidates(s, params)
+        shifted = farey_polynomial(s, params or "parabolic") + Poly([2])
+        c = np.array([complex(x) for x in shifted.coeffs])[::-1]
+        z = np.array(rs.roots)
+        scale = np.maximum(np.polyval(np.abs(c), np.abs(z)), 1e-300)
+        want = np.abs(np.polyval(c, z)) / scale
+        assert rs.residuals == want.tolist(), s
+
+
+def test_root_sets_are_sorted_by_rounded_parts(no_mirrors):
+    # The order contract: each set lists its roots as sorting by
+    # (round(re, 12), round(im, 12)) does.  Parabolic sets (lower, upper
+    # and 1/2) are also exactly closed under conjugation.
+    for rs in pleating.slice_cloud(40):
+        assert rs.roots == sorted(rs.roots, key=_round_key), rs.slope
+        assert all(z.conjugate() in rs.roots for z in rs.roots), rs.slope
+    for rs in pleating.slice_cloud(20, GeneratorParams(3, 4)):
+        assert rs.roots == sorted(rs.roots, key=_round_key), rs.slope
+    found, _, _ = pleating.all_roots([1e300, 0, 1e-300])
+    assert found == sorted(found, key=_round_key)
 
 
 def test_symmetrize_conjugates():

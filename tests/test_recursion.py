@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fareyslice import (
     CFExpansion,
@@ -126,6 +127,28 @@ def test_parabolic_mirror_slopes_negate_z_up_to_60():
         mirror = farey_polynomial(Slope(s.q - s.p, s.q), "parabolic").coeffs
         coeffs = farey_polynomial(s, "parabolic").coeffs
         assert mirror == [(-1) ** k * c for k, c in enumerate(coeffs)], s
+
+
+def _moved_keys(poly, f):
+    """The term dicts of a generic polynomial, each key (i, j) sent to
+    f(i, j)."""
+    return [{f(i, j): v for (i, j), v in c.terms.items()} for c in poly.coeffs]
+
+
+# Two exact symmetries of the generic ring, checked on each route by
+# itself: alpha <-> beta, (i, j) -> (j, i), and (alpha, beta) ->
+# (1/alpha, 1/beta), (i, j) -> (-i, -j), fix every polynomial with
+# q <= 18, while alpha -> 1/alpha alone, (i, j) -> (-i, j), moves every
+# one of them, so the check can fail.
+@pytest.mark.parametrize("route", [recursion, oracle], ids=["recursion", "oracle"])
+@settings(max_examples=60, deadline=None)
+@given(s=st.sampled_from(enumerate_farey(18)))
+def test_generic_polynomials_are_symmetric(route, s):
+    poly = route.farey_polynomial(s, "generic")
+    terms = [c.terms for c in poly.coeffs]
+    assert _moved_keys(poly, lambda i, j: (j, i)) == terms
+    assert _moved_keys(poly, lambda i, j: (-i, -j)) == terms
+    assert _moved_keys(poly, lambda i, j: (-i, j)) != terms
 
 
 def test_recursion_constants_parabolic():
