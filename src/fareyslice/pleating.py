@@ -1,36 +1,36 @@
 """Root loci of trace polynomials: slice clouds and cusp approximations.
 
-In the parabolic ring the roots of P + 2 are eigenvalues: for W in
-SL(2), P + 2 = tr W + 2 = det(W + I), and since every Y letter of the
-Farey word is I +- z E_21 and every X letter a constant, that
-determinant is 4 det(I - z G) for a q x q matrix G of quarter integers
-read off the word's exponents (``_transfer_matrix``).  The roots are the
-reciprocal eigenvalues of G, backward-stable for G rather than for
-coefficients as large as 1e20 (Edelman & Murakami 1995), and one Newton
-correction by the triangle recursion finishes them.  G is real, so its
-eigenvalues come in exact conjugate pairs: only those with Im >= 0 are
-corrected, and each pair's lower root is the exact conjugate of its upper
-one (``_closed``).  Of each parabolic mirror pair p/q, (q - p)/q only the
-lower slope is solved; the other set is its negation (``cusp_candidates``).
+The roots of P + 2 are eigenvalues.  For W in SL(2),
+P + 2 = tr W + 2 = det(W + I), and since every Y letter of the Farey
+word is a constant times I + z c E_21 and every X letter a constant,
+that determinant is det(W(0) + I) det(I - z G) for a q x q transfer
+matrix G read off the word's exponents and the cone parameters
+(``_transfer_matrix``).  The roots are the reciprocal eigenvalues of G,
+backward-stable for G rather than for coefficients as large as 1e20
+(Edelman & Murakami 1995), and one Newton correction by the triangle
+recursion finishes them.  In the parabolic ring G is real, of quarter
+integers, so its eigenvalues come in exact conjugate pairs: only those
+with Im >= 0 are corrected, and each pair's lower root is the exact
+conjugate of its upper one (``_closed``).  Of each parabolic mirror pair
+p/q, (q - p)/q only the lower slope is solved; the other set is its
+negation (``cusp_candidates``).
 
-Every other polynomial is root-solved by an Aberth-Ehrlich simultaneous
-iteration over complex doubles (Aberth 1973, Ehrlich 1967).  The
-iteration has one contract: its evaluator gives P and P' accurate to
-double resolution.  For trace polynomials of the cone rings it evaluates
-P + 2 and P' by the triangle recursion on arrays of points; for any
-other polynomial (``roots``) it evaluates the exact coefficients at each
-double point in Python ints and rounds P and P' once, where double
-Horner on the expanded coefficients would be noise-bound.  The iteration
-starts from the companion-matrix eigenvalues of the coefficients (exact
-integers are Taylor-shifted to the root centroid first), which it only
-polishes; ``all_roots`` states the loop's one restart rule.
+At orders (2, 2), whose polynomials are squares up to a linear factor,
+and for any other polynomial (``roots``), an Aberth-Ehrlich simultaneous
+iteration over complex doubles finds the roots (Aberth 1973, Ehrlich
+1967).  It evaluates the exact coefficients at each double point in
+Python ints and rounds P and P' once, where double Horner on the
+expanded coefficients would be noise-bound.  The iteration starts from
+the companion-matrix eigenvalues of the coefficients (exact integers are
+Taylor-shifted to the root centroid first), which it only polishes;
+``all_roots`` states the loop's one restart rule.
 
 Either way the double coefficients probe the largest root's circle for
-overflow and score the result, in the parabolic ring both in one Horner
-pass (``_verdict``).  Reported residuals are backward-error scaled,
-|P(z)| / sum_k |c_k| |z|^k: an absolute residual is meaningless for these
-polynomials, whose terms reach 1e20+ at the outermost roots while
-cancelling to machine precision.
+overflow and score the result, on the eigenvalue route both in one
+Horner pass (``_verdict``).  Reported residuals are backward-error
+scaled, |P(z)| / sum_k |c_k| |z|^k: an absolute residual is meaningless
+for these polynomials, whose terms reach 1e20+ at the outermost roots
+while cancelling to machine precision.
 """
 
 from __future__ import annotations
@@ -201,8 +201,7 @@ _CONVERGED_RESIDUAL = 1e-10
 # The relative distance within which ``_symmetrize_conjugates`` and
 # ``_closed`` snap a root onto the axis, and the former pairs two roots.
 # It must stay below the closest genuine root separation, or distinct
-# roots would merge; the evaluators of ``all_roots`` are accurate to
-# double resolution.
+# roots would merge; the roots it snaps are accurate to double resolution.
 _CONJUGATE_TOL = 1e-9
 
 
@@ -255,29 +254,13 @@ def _exact_evaluator(coeffs: list) -> Callable:
     return evaluate
 
 
-def _deflated(evaluate: Callable, m: int) -> Callable:
-    """Evaluator of P(z) / z^m from an evaluator of P."""
-
-    def inner(z):
-        p, dp = evaluate(z)
-        zm = z**m
-        return p / zm, (dp - m * p / z) / zm
-
-    return inner
-
-
-def all_roots(
-    coeffs: list[complex], evaluate: Optional[Callable] = None
-) -> tuple[list[complex], list[float], bool]:
+def all_roots(coeffs: list[complex]) -> tuple[list[complex], list[float], bool]:
     """Aberth-Ehrlich iteration for every root of a dense polynomial.
 
-    ``coeffs`` ascending, as Python ints (kept exact for the initial
-    guesses and the default evaluator) or anything ``complex`` accepts;
-    the leading coefficient must be nonzero.  ``evaluate(z)`` returns the
-    values and derivatives at an array of points, accurate to double
-    resolution near the roots (the triangle recursion is); the default
-    evaluates ``coeffs`` exactly and rounds each value once
-    (``_exact_evaluator``).  Every particle moves until the step test
+    ``coeffs`` ascending, as Python ints or anything ``complex`` accepts,
+    all taken exactly; the leading coefficient must be nonzero.  Each
+    particle's P and P' are the exact values at its double point, rounded
+    once (``_exact_evaluator``).  Every particle moves until the step test
     passes, and conjugate candidates of real coefficients merge only
     within 1e-9.  The coefficients also give the initial guesses (their
     companion-matrix eigenvalues, about the root centroid for ints, see
@@ -287,9 +270,9 @@ def all_roots(
     is not finite (P overflowing, say), or that moves outside twice that
     circle, restarts on it at a fresh angle.  The step test only ends the
     loop; a run that does not settle within the budget gets a short
-    Newton polish.  Exact zero roots are deflated first, from the
-    evaluator too.  Returns (roots, scaled residuals, converged), where
-    converged means the worst scaled residual is below 1e-10.
+    Newton polish.  Exact zero roots are split off first.  Returns
+    (roots, scaled residuals, converged), where converged means the worst
+    scaled residual is below 1e-10.
     """
     exact = list(coeffs)
     cs = _double_coefficients(exact)
@@ -307,10 +290,7 @@ def all_roots(
     if deg == 0:
         roots_arr = np.array([], dtype=complex)
     else:
-        if evaluate is None:
-            evaluate = _exact_evaluator(exact)
-        elif zero_roots:
-            evaluate = _deflated(evaluate, len(zero_roots))
+        evaluate = _exact_evaluator(exact)
 
         def newton_ratio(z):
             # A ratio that is not finite (P overflowing, P' vanishing) is
@@ -447,8 +427,8 @@ def _order_key(x: np.ndarray) -> np.ndarray:
 def roots(p: Poly, slope: Optional[Slope] = None, ring: str = "parabolic") -> RootSet:
     """Root set of an arbitrary polynomial with int or double coefficients.
 
-    ``all_roots``'s default evaluator takes the coefficients exactly, ints
-    past 2**53 included, so nothing is lost to a double conversion.
+    ``all_roots`` evaluates the coefficients exactly, ints past 2**53
+    included, so nothing is lost to a double conversion.
     """
     rs, res, ok = all_roots(p.coeffs)
     return RootSet(slope=slope, ring=ring, roots=rs, residuals=res, converged=ok)
@@ -466,12 +446,11 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
 
     These approximate the boundary of the (parabolic or cone-angle)
     slice; which of them are genuine cusp points is an open question.
-    Parabolic roots are the transfer matrix's reciprocal eigenvalues
-    after one Newton correction, cone-ring roots come from the Aberth
-    loop (``_extract``); both evaluate P + 2 and P' by the triangle
-    recursion.  Every set lists its roots sorted by (round(re, 12),
-    round(im, 12)), and a parabolic set is exactly closed under
-    conjugation.
+    The roots are the transfer matrix's reciprocal eigenvalues after one
+    Newton correction by the triangle recursion, and at orders (2, 2) the
+    Aberth loop's on the exact coefficients (``_extract``).  Every set
+    lists its roots sorted by (round(re, 12), round(im, 12)), and a
+    parabolic set is exactly closed under conjugation.
 
     In the parabolic ring the slope map p/q -> (q - p)/q swaps the seeds
     2 - z and 2 + z and fixes 1/0 and the constant 8, so
@@ -500,75 +479,93 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
     return mine
 
 
+# At orders (2, 2), P + 2 = +-(z - k)^(q mod 2) S(z)^2: det(W(0) + I) =
+# P(0) + 2 vanishes where k = 0, and every other root is double, where
+# one Newton correction divides noise by P' ~ 0 (up to 8.4e-2 off for
+# q <= 24).  This ring's roots come from the Aberth loop on the exactly
+# evaluated coefficients.
+_DOUBLE_ROOT_RING = Ring.parse("numeric(2,2)")
+
+
 def _extract(s: Slope, ring: Ring) -> RootSet:
     """All roots of the slope's P + 2.
 
-    In the parabolic ring they are the reciprocal eigenvalues of the
-    word's transfer matrix (``_transfer_matrix``).  Those with Im >= 0 are
-    each moved by one Newton correction from the triangle recursion, and
-    the others are the exact conjugates of the moved ones (``_closed``):
-    the split comes before the correction, so a pair that the correction
-    snaps onto the axis keeps both its roots.  In the cone rings the
-    Aberth loop of ``all_roots`` finds them, evaluating P + 2 by the
-    triangle recursion too.  Either way the coefficients only score the
-    roots (and seed the loop): the roots come from the recursion's values,
-    so exact integers past 2**53 may round to doubles.
+    They are the reciprocal eigenvalues of the word's transfer matrix
+    (``_transfer_matrix``), each moved by one Newton correction from the
+    triangle recursion.  Where G is real (the parabolic ring) only those
+    with Im >= 0 are corrected, and the others are the exact conjugates of
+    the moved ones (``_closed``): the split comes before the correction,
+    so a pair that the correction snaps onto the axis keeps both its
+    roots.  The coefficients only score the roots: the roots come from
+    the recursion's values, so exact integers past 2**53 may round to
+    doubles.  Orders (2, 2) are the exception (``_DOUBLE_ROOT_RING``).
     """
     engine = get_engine(ring)
     two = ring.coeff(Laurent2.const(2))
-
-    def shifted(z):
-        p, dp = engine.evaluate(s, z)
-        return p + two, dp
-
     coeffs = (engine.polynomial(s) + Poly([two])).coeffs
-    if ring.name == "parabolic":
-        c = np.array(_double_coefficients(coeffs))
-        z = 1.0 / np.linalg.eigvals(_transfer_matrix(s))
-        r = float(np.max(np.abs(z)))
-        z = z[z.imag >= 0]
-        with np.errstate(all="ignore"):
-            p, dp = shifted(z)
-            newton = p / dp
-        w = _closed(np.where(np.isfinite(newton), z - newton, z), z.imag > 0)
-        rs, res, ok = _verdict(c, w, probe=r)
+    if ring == _DOUBLE_ROOT_RING:
+        rs, res, ok = all_roots(coeffs)
     else:
-        rs, res, ok = all_roots(coeffs, evaluate=shifted)
+        c = np.array(_double_coefficients(coeffs))
+        g = _transfer_matrix(s, ring.params)
+        z = 1.0 / np.linalg.eigvals(g)
+        r = float(np.max(np.abs(z)))
+        real = not np.iscomplexobj(g)
+        if real:
+            z = z[z.imag >= 0]
+        with np.errstate(all="ignore"):
+            p, dp = engine.evaluate(s, z)
+            newton = (p + two) / dp
+        w = np.where(np.isfinite(newton), z - newton, z)
+        rs, res, ok = _verdict(c, _closed(w, z.imag > 0) if real else w, probe=r)
     return RootSet(slope=s, ring=ring.label, roots=rs, residuals=res, converged=ok)
 
 
-def _transfer_matrix(s: Slope) -> np.ndarray:
-    """The q x q matrix G with P_{p/q}(z) + 2 = 4 det(I - z G), parabolic.
+def _transfer_matrix(s: Slope, params: Optional[GeneratorParams] = None) -> np.ndarray:
+    """A q x q matrix G with P_{p/q}(z) + 2 = det(W(0) + I) det(I - z G).
 
-    Take the Farey word's letters right to left, in the order they act on
-    a vector.  Let eps_k be the exponent of the k-th Y letter, N_k the sum
-    of the X exponents met before it and N the sum of all X exponents.
-    With T(n) = X^n = I + n E_12, the word matrix telescopes into
+    ``params`` None is the parabolic ring, alpha = beta = 1.  Every
+    constant letter of ``oracle.gen_matrix`` is upper triangular,
+    [[x, y], [0, 1/x]]: X^+-1 has x = alpha^+-1 and y = +-1, and
+    Y^eps = D (I + z c E_21) with D = diag(beta^eps, beta^-eps), y = 0 and
+    c = eps beta^eps.  So is each prefix product in word order,
+    [[a, b], [0, 1/a]]: a = cumprod(x), and a b gains a_prev^2 x y per
+    letter.  With a_k, b_k, c_k those of the k-th Y letter (its D
+    included), moving each rank-one update left through the constants
+    gives W = (I + z u_1 w_1^T) ... (I + z u_q w_q^T) W(0), where
+    u_k = c_k (b_k, 1/a_k)^T and w_k^T = (1/a_k, -b_k); that is
+    (I + z U (I - z N)^-1 B) W(0) with N_jk = w_j^T u_k for j < k.  As
+    P + 2 = tr W + 2 = det(W + I) in SL(2), Sylvester's identity and
+    det(I - z N) = 1 give G = N - B K U, with K = W(0) (W(0) + I)^-1 =
+    [[A/(A+1), A B'/(A+1)^2], [0, 1/(A+1)]] for W(0) = [[A, B'], [0, 1/A]].
 
-        W = T(N) (I + z eps_q u_q w_q^T) ... (I + z eps_1 u_1 w_1^T),
-
-    with u_k = T(-N_k) e_2 and w_k^T = e_1^T T(N_k), since
-    Y^eps = I + z eps E_21.  Such a product of rank-one updates is
-    I + U (I - S)^-1 B^T, where U has columns z eps_j u_j, B rows w_k^T
-    and S_kj = z eps_j w_k^T u_j for j < k (strictly lower).  For W in
-    SL(2), P + 2 = tr W + 2 = det(W + I), and the determinant lemma with
-    det(T(N) + I) = 4, det(I - S) = 1 and
-    (T(N) + I)^-1 T(N) = I / 2 + (N / 4) E_12 leaves det(I - z G) with
-
-        G_kj = eps_j (-N/4 + (N_k - N_j)/2)   for j < k,
-        G_kj = eps_j (-N/4 - (N_k - N_j)/2)   for j >= k.
-
-    The entries are multiples of 1/4, so exact in doubles; the roots of
-    P + 2 are the reciprocals of G's eigenvalues.  G is invertible, since
-    P + 2 has degree q.  G = A diag(eps) with A symmetric; measured, not
+    With h = a b, G = diag(1/a) M diag(c/a) for the symmetric M with
+    M_jk = K_22 h_k - K_11 h_j - K_12 (j < k).  The similar M diag(c/a^2)
+    is returned (|a_k| = 1 in every ring), rows and columns in reverse
+    word order, the order the letters act on a vector.  It is invertible,
+    since P + 2 has degree q.  In the parabolic ring a = 1, c = eps,
+    K_11 = K_22 = 1/2, K_12 = N/4 for N the sum of the X exponents, and
+    det(W(0) + I) = 4: the entries are multiples of 1/4, exact in doubles,
+    and G is real.  There G = A diag(eps) with A symmetric; measured, not
     proved: A^-1 is an integer cyclic tridiagonal matrix with entries in
     {0, +-1, +-2} for every slope with 3 <= q <= 60.
     """
     e = np.array(farey_exponents(s))
-    eps = e[-2::-2]  # Y letters, right to left
-    n = np.cumsum(e[::-2])  # X letters, right to left
-    d = (n[:, None] - n[None, :]) / 2
-    return (np.where(np.tri(s.q, k=-1, dtype=bool), d, -d) - n[-1] / 4) * eps
+    eps, ex = e[0::2], e[1::2]  # the Y and the X letters, in word order
+    alpha, beta = (1.0, 1.0) if params is None else (params.alpha, params.beta)
+    x = np.array([beta, alpha] * s.q) ** e
+    a = np.cumprod(x)
+    ay = a[0::2]  # a at each Y letter, its D included
+    hx = np.cumsum(ay * a[1::2] * ex)  # a b after each X letter
+    h = np.concatenate(([0], hx[:-1]))  # a b at each Y letter: D has y = 0
+    k22 = 1 / (a[-1] + 1)
+    k11, k12 = a[-1] * k22, hx[-1] * k22 * k22
+    hk, hm = k22 * h, k11 * h
+    # For j >= k, -(K_11 h_k - K_22 h_j): a zero on the parabolic diagonal
+    # is then -0.0, and eigvals' output bits see the sign.
+    r = np.arange(s.q)
+    m = np.where(r[:, None] < r, hk - hm[:, None], -(hm - hk[:, None])) - k12
+    return (m * (eps * x[0::2] / (ay * ay)))[::-1, ::-1]  # c = eps beta^eps
 
 
 def _closed(w: np.ndarray, paired: np.ndarray) -> np.ndarray:

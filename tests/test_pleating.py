@@ -140,10 +140,6 @@ def test_roots_of_a_double_root():
     # never divide by zero (RuntimeWarnings are errors under pytest).
     rs = pleating.roots(Poly([4, -4, 1]))
     assert len(rs.roots) == 2 and all(abs(z - 2) < 1e-6 for z in rs.roots)
-    found, _, _ = pleating.all_roots(
-        [4, -4, 1], evaluate=lambda z: ((z - 2) ** 2, 2 * (z - 2))
-    )
-    assert len(found) == 2 and all(abs(z - 2) < 1e-6 for z in found)
 
 
 def test_taylor_shift_is_exact_on_ints():
@@ -254,6 +250,19 @@ def test_cusp_candidates_iteration_budget(monkeypatch, no_mirrors):
     assert pleating._MIRRORS == {}
 
 
+def test_cone_ring_iteration_budget(monkeypatch):
+    # Every cone set takes exactly one evaluator call, the Newton correction
+    # of its transfer-matrix roots; no mirror set is derived.
+    params = GeneratorParams(3, 4)
+    calls = _counted_evaluate(monkeypatch)
+    for s in enumerate_farey(30):
+        calls.clear()
+        rs = pleating.cusp_candidates(s, params)
+        assert rs.converged, s
+        assert calls == [s], s
+        assert rs.converged == (max(rs.residuals) < 1e-10), s
+
+
 def _charpoly(a: list[list[int]]) -> list[int]:
     """Ascending coefficients of det(mu I - a) for an integer matrix, by
     Faddeev-LeVerrier: M_k = a M_(k-1) + c_(n-k+1) I and
@@ -303,22 +312,45 @@ def test_transfer_matrix_inverse_is_integer_cyclic_tridiagonal():
         assert np.abs(t).max() <= 2, s
 
 
+# det(W(0) + I) det(I - z G) = P + 2 in every ring the eigenvalue route
+# serves, det(W(0) + I) being P(0) + 2, against the matrix oracle at three
+# random points per slope, scaled as the residuals are (measured worst
+# 2.0e-14, at (2,3)).  The parabolic identity is also checked exactly
+# above.
+@pytest.mark.parametrize(
+    "params",
+    [None, GeneratorParams(3, 4), GeneratorParams(5, 7), GeneratorParams(2, 3),
+     GeneratorParams(3, math.inf)],
+    ids=["parabolic", "3,4", "5,7", "2,3", "3,inf"],
+)
+def test_transfer_matrix_determinant_in_every_ring(params):
+    rng = np.random.default_rng(14)
+    for s in enumerate_farey(14):
+        g = pleating._transfer_matrix(s, params)
+        shifted = oracle.farey_polynomial(s, params or "parabolic") + Poly([2])
+        c = np.array([complex(x) for x in shifted.coeffs])
+        for z in rng.standard_normal(3) + 1j * rng.standard_normal(3):
+            lhs = c[0] * np.linalg.det(np.eye(s.q) - z * g)
+            err = abs(lhs - np.polyval(c[::-1], z)) / np.polyval(np.abs(c[::-1]), abs(z))
+            assert err < 1e-12, (s, z, err)
+
+
+# The eigenvalue route against the Aberth loop of ``roots`` on P + 2,
+# root for root.  The parabolic coefficients are exact ints (measured
+# worst 2.0e-15 relative for q <= 24).  The numeric(3,4) ones are complex
+# doubles whose rounding moves their roots more as q grows, from 4.4e-14
+# at q = 7 to 1.1e-8 at 1/16: that bound is the coefficients', not the
+# eigenvalue route's.
 def test_transfer_matrix_roots_match_the_aberth_loop(no_mirrors):
-    # The eigenvalue route against the Aberth loop on the same recursion
-    # evaluator, root for root, for every slope with q <= 40.
-    engine = recursion.get_engine("parabolic")
-    for s in enumerate_farey(40):
-        found = np.array(pleating.cusp_candidates(s).roots)
-        coeffs = (engine.polynomial(s) + Poly([2])).coeffs
-
-        def shifted(z, s=s):
-            p, dp = engine.evaluate(s, z)
-            return p + 2, dp
-
-        want = np.array(pleating.all_roots(coeffs, evaluate=shifted)[0])
+    cases = [(None, s, 1e-14) for s in enumerate_farey(24)]
+    cases += [(GeneratorParams(3, 4), s, 1e-7) for s in enumerate_farey(16)]
+    for params, s, tol in cases:
+        found = np.array(pleating.cusp_candidates(s, params).roots)
+        shifted = farey_polynomial(s, params or "parabolic") + Poly([2])
+        want = np.array(pleating.roots(shifted, s).roots)
         dist = np.abs(found[:, None] - want[None, :])
         assert len(set(dist.argmin(axis=1).tolist())) == len(found) == s.q, s
-        assert np.all(dist.min(axis=1) <= 1e-13 * np.maximum(1.0, np.abs(want[dist.argmin(axis=1)]))), s
+        assert np.all(dist.min(axis=1) <= tol * np.maximum(1.0, np.abs(want[dist.argmin(axis=1)]))), s
 
 
 def _is_negative_zero(x: float) -> bool:
@@ -567,11 +599,11 @@ def test_cusp_candidates_forward_accurate_up_to_40():
         assert np.all(step <= 1e-12 * (1 + np.abs(z))), (s, step.max())
 
 
-# In the cone ring, 3/128 and 47/128: P overflows even on the circle of
-# Fujiwara's root bound, so an Aberth particle must restart on the circle
-# of the largest initial guess, where P is finite.  The parabolic 89/144,
-# 98/99 and 127/128, where P overflows doubles far outside the roots,
-# meet the same checks.
+# Slopes where P overflows doubles far outside the roots: in the cone
+# ring 3/128 and 47/128, where it overflows even on the circle of
+# Fujiwara's root bound, and the parabolic 89/144, 98/99 and 127/128.
+# The overflow probe on the circle of the largest root passes, and the
+# sets meet criterion 11's checks.
 @pytest.mark.parametrize(
     "s, params",
     [
@@ -658,37 +690,56 @@ def test_exact_coefficients_past_double_range_do_not_warn():
         pleating.cusp_candidates(Slope(1, 42))
 
 
-# z^2 + 4, and z^3 + 4z, whose exact zero root is split off and the
-# evaluator deflated.
-@pytest.mark.parametrize(
-    "coeffs, evaluate, want",
-    [
-        ([4, 0, 1], lambda z: (z * z + 4, 2 * z), [(0, -2), (0, 2)]),
-        ([0, 4, 0, 1], lambda z: (z**3 + 4 * z, 3 * z * z + 4), [(0, -2), (0, 0), (0, 2)]),
-    ],
-    ids=["z^2+4", "z^3+4z"],
-)
-def test_all_roots_with_an_evaluator(coeffs, evaluate, want):
-    rs, res, ok = pleating.all_roots(coeffs, evaluate=evaluate)
-    assert ok and max(res) < 1e-15
-    assert sorted((round(z.real, 12), round(z.imag, 12)) for z in rs) == want
-
-
-def test_all_roots_restarts_particles_with_non_finite_ratios_apart():
+def test_all_roots_restarts_particles_with_non_finite_ratios_apart(monkeypatch):
     # The first evaluation is NaN everywhere, so every particle restarts at
     # once; each gets its own angle, or the next Aberth sums divide by zero.
     calls = []
 
-    def evaluate(z):
-        calls.append(len(z))
-        if len(calls) == 1:
-            return np.full_like(z, np.nan), np.ones_like(z)
-        return z**3 - 8, 3 * z * z
+    def nan_first(coeffs):
+        def evaluate(z):
+            calls.append(len(z))
+            if len(calls) == 1:
+                return np.full_like(z, np.nan), np.ones_like(z)
+            return z**3 - 8, 3 * z * z
 
-    rs, res, ok = pleating.all_roots([-8, 0, 0, 1], evaluate=evaluate)
+        return evaluate
+
+    monkeypatch.setattr(pleating, "_exact_evaluator", nan_first)
+    rs, res, ok = pleating.all_roots([-8, 0, 0, 1])
     assert ok and max(res) < 1e-15 and len(calls) > 1
     want = [2 * cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
     assert all(min(abs(z - w) for z in rs) < 1e-12 for w in want)
+
+
+def _exact_order_2_polynomial(s):
+    """P + 2 at orders (2, 2) as exact ints: each generic term c u^i v^j
+    at u = v = i is c i^(i + j), and i + j is even in every term."""
+    coeffs = []
+    for k, x in enumerate(recursion.farey_polynomial(s, "generic").coeffs):
+        assert all((i + j) % 2 == 0 for i, j in x.terms), s
+        coeffs.append(sum(c * (-1) ** ((i + j) // 2) for (i, j), c in x.terms.items()) + 2 * (k == 0))
+    return Poly(coeffs)
+
+
+def test_cusp_candidates_at_orders_2_2_are_the_exact_roots():
+    # P + 2 = +-(z - k)^(q mod 2) S(z)^2: every other root is double, and
+    # every root is real.  The Aberth loop on the exact integer polynomial
+    # (``roots``) is the reference; the sets must match it root for root
+    # and meet criterion 11's checks.  A double root's two copies share
+    # their nearest root, so the roots pair by position: both sets are
+    # sorted by rounded real part, and distinct roots lie far more than
+    # 1e-10 apart.
+    params = GeneratorParams(2, 2)
+    for s in enumerate_farey(20):
+        if s.q < 2:
+            continue
+        exact = _exact_order_2_polynomial(s)
+        rs = pleating.cusp_candidates(s, params)
+        assert_root_set_properties(rs, exact.coeffs)
+        found = np.array(rs.roots)
+        want = np.array(pleating.roots(exact, s).roots)
+        worst = float(np.max(np.abs(found - want) / np.maximum(1.0, np.abs(want))))
+        assert worst <= 1e-10, (s, worst)
 
 
 def test_cusp_candidates_with_a_root_at_zero():
