@@ -16,7 +16,7 @@ from typing import Optional
 from . import benchmark, conjecture, frf, oracle, pleating, serialize
 from .errors import FareySliceError, SingularParameter
 from .rings import GeneratorParams, Ring
-from .recursion import farey_polynomial, get_engine, homogeneous_farey_polynomial
+from .recursion import dynsys_check, farey_polynomial, get_engine, homogeneous_farey_polynomial
 from .slopes import CFExpansion, Slope, enumerate_farey
 from .words import farey_word
 
@@ -247,7 +247,7 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_dynsys(args) -> int:
-    report = pleating.dynsys_check()
+    report = dynsys_check()
     print(report)
     return 0 if report.all_pass else 2
 

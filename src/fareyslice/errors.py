@@ -38,7 +38,8 @@ class ZeroDivisor(FareySliceError):
 
 
 class DegreeOverflow(FareySliceError):
-    """Coefficients exceed double range; root finding would be meaningless."""
+    """Coefficients, or the polynomial's values where its roots are sought,
+    exceed double range; root finding would be meaningless."""
 
 
 class NotASquare(FareySliceError):

@@ -24,9 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateEigenvalues, SingularParameter
-from .pleating import _exact_evaluator
 from .recursion import descend, homogeneous_farey_polynomial
-from .rings import Poly, exact_div
+from .rings import Poly, _exact_evaluator, exact_div
 from .slopes import INFINITY, ONE, ZERO, Slope, boundary_sequence, ominus, parents
 
 __all__ = [

@@ -19,33 +19,32 @@ At orders (2, 2), whose polynomials are squares up to a linear factor,
 and for any other polynomial (``roots``), an Aberth-Ehrlich simultaneous
 iteration over complex doubles finds the roots (Aberth 1973, Ehrlich
 1967).  It evaluates the exact coefficients at each double point in
-Python ints and rounds P and P' once, where double Horner on the
-expanded coefficients would be noise-bound.  The iteration starts from
-the companion-matrix eigenvalues of the coefficients (exact integers are
-Taylor-shifted to the root centroid first), which it only polishes;
-``all_roots`` states the loop's one restart rule.
+Python ints and rounds P and P' once (``rings._exact_evaluator``), where
+double Horner on the expanded coefficients would be noise-bound.  The
+iteration starts from the companion-matrix eigenvalues of the
+coefficients (exact integers are Taylor-shifted to the root centroid
+first), which it only polishes; ``all_roots`` states its restart rule.
 
 Either way the double coefficients probe the largest root's circle for
-overflow and score the result, on the eigenvalue route both in one
-Horner pass (``_verdict``).  Reported residuals are backward-error
-scaled, |P(z)| / sum_k |c_k| |z|^k: an absolute residual is meaningless
-for these polynomials, whose terms reach 1e20+ at the outermost roots
-while cancelling to machine precision.
+overflow (``_probe_overflow``) and then score the result (``_verdict``).
+Reported residuals are backward-error scaled, |P(z)| / sum_k |c_k| |z|^k:
+an absolute residual is meaningless for these polynomials, whose terms
+reach 1e20+ at the outermost roots while cancelling to machine precision.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegreeOverflow, FormalVertex
 from .recursion import get_engine
-from .rings import GeneratorParams, Laurent2, Poly, Ring
+from .rings import GeneratorParams, Laurent2, Poly, Ring, _exact_evaluator
 from .slopes import CFExpansion, Slope, _mediant_walk, enumerate_farey
 from .words import farey_exponents
 
@@ -57,8 +56,6 @@ __all__ = [
     "slice_cloud",
     "irrational_cusp_path",
     "extremal_root_heuristic",
-    "dynsys_check",
-    "DynSysReport",
 ]
 
 
@@ -205,63 +202,14 @@ _CONVERGED_RESIDUAL = 1e-10
 _CONJUGATE_TOL = 1e-9
 
 
-def _over_power_of_two(values) -> tuple[list[int], int]:
-    """Ints n_i and e with values[i] = n_i / 2^e exactly, for ints and doubles."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max(d for _, d in ratios)
-    return [n * (den // d) for n, d in ratios], den.bit_length() - 1
-
-
-def _rounded(num: int, shift: int) -> float:
-    """num / 2^shift, correctly rounded (int true division); past double
-    range, an infinity of num's sign."""
-    try:
-        return num / (1 << shift)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
-def _exact_evaluator(coeffs: list) -> Callable:
-    """Evaluator of P and P' at double points, each rounded once.
-
-    Ints are exact and every double is an int over a power of two.  Over
-    one power of two 2^e for the coefficients and one 2^f for each point
-    w = (x + iy) / 2^f, one Horner pass over Python ints carries the
-    numerators of P and P' exactly: after j steps they lie over 2^(f j)
-    and 2^(f (j - 1)).  A value past double range comes back infinite,
-    and the loop restarts that particle.
-    """
-    cs = [c if isinstance(c, int) else complex(c) for c in coeffs]
-    nums, e = _over_power_of_two([part for c in cs for part in (c.real, c.imag)])
-    re, im = nums[0::2], nums[1::2]
-    n = len(coeffs) - 1
-
-    def evaluate(z):
-        ps, dps = [], []
-        for w in z.tolist():
-            (x, y), f = _over_power_of_two((w.real, w.imag))
-            pr, pi, dr, di = re[n], im[n], 0, 0
-            for j in range(1, n + 1):
-                dr, di = dr * x - di * y + pr, dr * y + di * x + pi
-                pr, pi = (
-                    pr * x - pi * y + (re[n - j] << f * j),
-                    pr * y + pi * x + (im[n - j] << f * j),
-                )
-            ps.append(complex(_rounded(pr, e + f * n), _rounded(pi, e + f * n)))
-            dps.append(complex(_rounded(dr, e + f * (n - 1)), _rounded(di, e + f * (n - 1))))
-        return np.array(ps), np.array(dps)
-
-    return evaluate
-
-
 def all_roots(coeffs: list[complex]) -> tuple[list[complex], list[float], bool]:
     """Aberth-Ehrlich iteration for every root of a dense polynomial.
 
     ``coeffs`` ascending, as Python ints or anything ``complex`` accepts,
     all taken exactly; the leading coefficient must be nonzero.  Each
     particle's P and P' are the exact values at its double point, rounded
-    once (``_exact_evaluator``).  Every particle moves until the step test
-    passes, and conjugate candidates of real coefficients merge only
+    once (``rings._exact_evaluator``).  Every particle moves until the step
+    test passes, and conjugate candidates of real coefficients merge only
     within 1e-9.  The coefficients also give the initial guesses (their
     companion-matrix eigenvalues, about the root centroid for ints, see
     ``_initial_guesses``) and, as doubles, the overflow probe and the
@@ -354,47 +302,36 @@ def _double_coefficients(coeffs: list) -> list[complex]:
 def _probe_overflow(c: np.ndarray, r: float) -> None:
     """Raise ``DegreeOverflow`` unless sum_k |c_k| r^k is finite: every
     value of the polynomial, and every residual scale, on |z| <= r is then
-    finite too."""
-    with np.errstate(over="ignore"):
-        probe = float(np.polyval(np.abs(c[::-1]), r))
+    finite too.  Horner's steps as np.polyval takes them, on Python floats."""
+    probe = 0.0
+    for a in np.abs(c[::-1]).tolist():
+        probe = probe * r + a
     if not math.isfinite(probe):
         raise DegreeOverflow("polynomial values overflow double range during iteration")
 
 
 def _verdict(
-    c: np.ndarray,
-    z: np.ndarray,
-    zero_roots: Sequence[complex] = (),
-    probe: Optional[float] = None,
+    c: np.ndarray, z: np.ndarray, zero_roots: Sequence[complex] = ()
 ) -> tuple[list[complex], list[float], bool]:
     """(roots, scaled residuals, converged) of the roots ``z`` of the
     deflated ascending coefficients ``c`` and the split-off ``zero_roots``.
 
     One Horner pass, the steps of ``np.polyval``, carries P at the roots
-    and the scales sum_k |c_k| |z|^k side by side.  Given a ``probe``
-    radius r, the scale at r is one more point of the same pass, and
-    ``DegreeOverflow`` is raised unless it is finite, as in
-    ``_probe_overflow``.
-    Converged means the worst scaled residual is below 1e-10.  The roots
-    are sorted by real part, then imaginary part, each rounded to 12
-    decimals as ``round`` rounds it (``_order_key``).
+    and the scales sum_k |c_k| |z|^k side by side; the caller probes for
+    overflow first (``_probe_overflow``).  Converged means the worst
+    scaled residual is below 1e-10.  The roots are sorted by real part,
+    then imaginary part, each rounded to 12 decimals as ``round`` rounds
+    it (``_order_key``).
     """
     n = len(z)
-    x = np.empty((2, n + (probe is not None)), dtype=complex)
-    x[0, :n], x[1, :n] = z, np.abs(z)
-    if probe is not None:
-        x[:, n] = probe
+    x = np.array([z, np.abs(z)], dtype=complex)
     rows = np.array([c, np.abs(c)]).T[::-1, :, None]
     y = np.zeros_like(x)
-    # Past double range the scale row turns NaN (inf * 0 in its zero
-    # imaginary part) rather than infinite; either way it is not finite.
     with np.errstate(all="ignore"):
         for row in rows:
             y *= x
             y += row
-    if probe is not None and not np.isfinite(y[1, -1].real):
-        raise DegreeOverflow("polynomial values overflow double range during iteration")
-    res = np.abs(y[0, :n]) / np.maximum(y[1, :n].real, 1e-300)
+    res = np.abs(y[0]) / np.maximum(y[1].real, 1e-300)
     converged = not n or float(np.max(res)) < _CONVERGED_RESIDUAL
     found = np.concatenate([np.zeros(len(zero_roots), dtype=complex), z])
     residuals = np.concatenate([np.zeros(len(zero_roots)), res])
@@ -428,7 +365,13 @@ def roots(p: Poly, slope: Optional[Slope] = None, ring: str = "parabolic") -> Ro
     """Root set of an arbitrary polynomial with int or double coefficients.
 
     ``all_roots`` evaluates the coefficients exactly, ints past 2**53
-    included, so nothing is lost to a double conversion.
+    included, so nothing is lost to a double conversion.  But residuals
+    and ``converged`` measure backward error against the coefficients as
+    given: a cone ring's P + 2 has complex-double coefficients, already
+    rounded, and at numeric(3,4) 369 of the 491 sets with q <= 40 lie
+    more than 1e-8 relative from the transfer-matrix roots or put two
+    roots nearest one (worst 0.61 at 14/37), every one flagged converged.
+    For a Farey polynomial use ``cusp_candidates``.
     """
     rs, res, ok = all_roots(p.coeffs)
     return RootSet(slope=slope, ring=ring, roots=rs, residuals=res, converged=ok)
@@ -496,9 +439,10 @@ def _extract(s: Slope, ring: Ring) -> RootSet:
     with Im >= 0 are corrected, and the others are the exact conjugates of
     the moved ones (``_closed``): the split comes before the correction,
     so a pair that the correction snaps onto the axis keeps both its
-    roots.  The coefficients only score the roots: the roots come from
-    the recursion's values, so exact integers past 2**53 may round to
-    doubles.  Orders (2, 2) are the exception (``_DOUBLE_ROOT_RING``).
+    roots.  The coefficients only probe for overflow and score the roots,
+    which come from the recursion's values, so exact integers past 2**53
+    may round to doubles.  Orders (2, 2) are the exception
+    (``_DOUBLE_ROOT_RING``).
     """
     engine = get_engine(ring)
     two = ring.coeff(Laurent2.const(2))
@@ -509,7 +453,7 @@ def _extract(s: Slope, ring: Ring) -> RootSet:
         c = np.array(_double_coefficients(coeffs))
         g = _transfer_matrix(s, ring.params)
         z = 1.0 / np.linalg.eigvals(g)
-        r = float(np.max(np.abs(z)))
+        _probe_overflow(c, float(np.max(np.abs(z))))
         real = not np.iscomplexobj(g)
         if real:
             z = z[z.imag >= 0]
@@ -517,7 +461,7 @@ def _extract(s: Slope, ring: Ring) -> RootSet:
             p, dp = engine.evaluate(s, z)
             newton = (p + two) / dp
         w = np.where(np.isfinite(newton), z - newton, z)
-        rs, res, ok = _verdict(c, _closed(w, z.imag > 0) if real else w, probe=r)
+        rs, res, ok = _verdict(c, _closed(w, z.imag > 0) if real else w)
     return RootSet(slope=s, ring=ring.label, roots=rs, residuals=res, converged=ok)
 
 
@@ -635,88 +579,3 @@ def extremal_root_heuristic(rs: RootSet) -> complex:
         raise ValueError("empty root set")
     centroid = sum(rs.roots) / len(rs.roots)
     return max(rs.roots, key=lambda z: (abs(z - centroid), z.imag, z.real))
-
-
-@dataclass
-class DynSysReport:
-    """Pass/fail record for the cubic step map's fixed-point data."""
-
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, ok, detail))
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def lines(self) -> list[str]:
-        return [
-            f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else "")
-            for name, ok, detail in self.checks
-        ]
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
-
-
-def _jacobian(c: float) -> np.ndarray:
-    # Differential of (x1, x2, x3) -> (x2, x3, 8 - x1 - x2*x3) at the
-    # diagonal point (c, c, c).
-    return np.array([[0, 1, 0], [0, 0, 1], [-1, -c, -c]], dtype=float)
-
-
-def dynsys_check(tol: float = 1e-12) -> DynSysReport:
-    """Verify the two fixed points of the cubic step and their eigen data.
-
-    Checks: f(x) = x at (2,2,2) and (-4,-4,-4); each known eigenpair of
-    the Jacobian has residual below tol; the characteristic polynomials
-    factor exactly over the integers; both determinants are -1.
-    """
-    report = DynSysReport()
-    s21 = math.sqrt(21.0)
-    r3 = math.sqrt(3.0)
-    omega = complex(-1, r3) / 2
-
-    for c in (2, -4):
-        image = (c, c, 8 - c - c * c)
-        report.add(f"fixed point ({c},{c},{c})", image == (c, c, c))
-
-    eigen_data = {
-        -4: [
-            ((5 + s21) / 2, (-(-5 + s21) / (5 + s21), 2 / (5 + s21), 1)),
-            (-1.0, (1, -1, 1)),
-            ((5 - s21) / 2, (-(5 + s21) / (-5 + s21), -2 / (-5 + s21), 1)),
-        ],
-        2: [
-            (omega, (omega, omega.conjugate(), 1)),
-            (complex(-1), (1, -1, 1)),
-            (omega.conjugate(), (omega.conjugate(), omega, 1)),
-        ],
-    }
-    for c, pairs in eigen_data.items():
-        jac = _jacobian(c)
-        for lam, vec in pairs:
-            v = np.array(vec, dtype=complex)
-            resid = float(np.max(np.abs(jac @ v - lam * v)))
-            report.add(
-                f"eigenpair lambda={lam:.6g} at ({c},{c},{c})",
-                resid < tol,
-                f"residual {resid:.2e}",
-            )
-        det = int(round(float(np.linalg.det(jac))))
-        report.add(f"determinant at ({c},{c},{c}) == -1", det == -1)
-
-    # Characteristic polynomials, exactly over the integers: the Jacobian
-    # is a companion matrix, so char(t) = t^3 + c t^2 + c t + 1.
-    for c, quad in ((2, Poly([1, 1, 1])), (-4, Poly([1, -5, 1]))):
-        char = Poly([1, c, c, 1])
-        try:
-            quotient = char.divmod_exact(Poly([1, 1]))
-            ok = quotient == quad
-        except Exception:
-            ok = False
-        report.add(
-            f"char poly at ({c},{c},{c}) factors as (t+1)*({quad.coeffs})", ok
-        )
-    return report

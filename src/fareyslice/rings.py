@@ -19,6 +19,9 @@ docstring describes the layout.  Factors with at most a recursion seed's
 3 terms, and all int and complex products, keep the coefficient double
 loop.
 
+``_exact_evaluator`` gives P and P' of exact int or double coefficients
+at double points, each rounded once from one big-int Horner pass.
+
 ``Laurent2`` invariant: a value stores no zero coefficient.  Its arithmetic
 allocates only the result, and its fast paths (adding zero, multiplying
 by the constant 1) return an operand itself, so results share term dicts
@@ -32,7 +35,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -382,6 +385,55 @@ def _packed_product(a: list, b: list) -> "Poly":
     product = Slots(len(a) + len(b) - 1, nx, ny, x0a + x0b, y0a + y0b, h, Slots.width(bound))
     packed_a = replace(product, length=len(a), x0=x0a, y0=y0a).pack(ta)
     return product.unpack(packed_a * replace(product, length=len(b), x0=x0b, y0=y0b).pack(tb))
+
+
+def _over_power_of_two(values) -> tuple[list[int], int]:
+    """Ints n_i and e with values[i] = n_i / 2^e exactly, for ints and doubles."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den.bit_length() - 1
+
+
+def _rounded(num: int, shift: int) -> float:
+    """num / 2^shift, correctly rounded (int true division); past double
+    range, an infinity of num's sign."""
+    try:
+        return num / (1 << shift)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _exact_evaluator(coeffs: list) -> Callable:
+    """Evaluator of P and P' at double points, each rounded once.
+
+    ``coeffs`` ascending, as Python ints or anything ``complex`` accepts.
+    Ints are exact and every double is an int over a power of two.  Over
+    one power of two 2^e for the coefficients and one 2^f for each point
+    w = (x + iy) / 2^f, one Horner pass over Python ints carries the
+    numerators of P and P' exactly: after j steps they lie over 2^(f j)
+    and 2^(f (j - 1)).  A value past double range comes back infinite.
+    """
+    cs = [c if isinstance(c, int) else complex(c) for c in coeffs]
+    nums, e = _over_power_of_two([part for c in cs for part in (c.real, c.imag)])
+    real, imag = nums[0::2], nums[1::2]
+    n = len(coeffs) - 1
+
+    def evaluate(z):
+        ps, dps = [], []
+        for w in z.tolist():
+            (x, y), f = _over_power_of_two((w.real, w.imag))
+            pr, pi, dr, di = real[n], imag[n], 0, 0
+            for j in range(1, n + 1):
+                dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+                pr, pi = (
+                    pr * x - pi * y + (real[n - j] << f * j),
+                    pr * y + pi * x + (imag[n - j] << f * j),
+                )
+            ps.append(complex(_rounded(pr, e + f * n), _rounded(pi, e + f * n)))
+            dps.append(complex(_rounded(dr, e + f * (n - 1)), _rounded(di, e + f * (n - 1))))
+        return np.array(ps), np.array(dps)
+
+    return evaluate
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from fareyslice import (
     parents,
     recursion_constants,
 )
-from fareyslice import benchmark, conjecture, frf, oracle, pleating, serialize
+from fareyslice import benchmark, conjecture, frf, oracle, pleating, recursion, serialize
 from fareyslice.recursion import FareyPolynomialEngine
 
 from golden_data import (
@@ -261,7 +261,7 @@ def test_criterion_11_root_sets():
 
 def test_criterion_12_cubic_step_fixed_points():
     t0 = time.perf_counter()
-    report = pleating.dynsys_check(tol=1e-12)
+    report = recursion.dynsys_check()
     ok = report.all_pass
     eig_checks = [okk for name, okk, _ in report.checks if "eigenpair" in name]
     ok = ok and len(eig_checks) == 6

@@ -18,7 +18,7 @@ from fareyslice import (
     enumerate_farey,
     farey_polynomial,
 )
-from fareyslice import oracle, pleating, recursion
+from fareyslice import oracle, pleating, recursion, rings
 from fareyslice.errors import DegreeOverflow
 from fareyslice.words import farey_exponents
 
@@ -103,6 +103,15 @@ def test_roots_rejects_overflowing_evaluation():
             pleating.cusp_candidates(s)
 
 
+def test_all_roots_probes_the_restart_circle_for_overflow():
+    # The guesses, near -1e308 and -1, are finite, but sum |c_k| r^k
+    # overflows on the circle of the larger one, where particles restart.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegreeOverflow, match="during iteration"):
+            pleating.all_roots([1e308, 1e308, 1])
+
+
 def test_cusp_candidates_at_q_400(no_mirrors):
     # The transfer-matrix roots need no coefficients, and P + 2 stays
     # finite on the circle of the largest root, |z| < 4.  The exact
@@ -119,7 +128,7 @@ def test_cusp_candidates_at_q_400(no_mirrors):
     )
     z = np.array(lower.roots)
     shifted = (farey_polynomial(Slope(1, 400), "parabolic") + Poly([2])).coeffs
-    p, dp = pleating._exact_evaluator(shifted)(z)
+    p, dp = rings._exact_evaluator(shifted)(z)
     assert np.all(np.abs(p / dp) <= 1e-12 * (1 + np.abs(z)))
 
 
@@ -198,7 +207,7 @@ def test_exact_evaluator_rounds_once(kind):
             cmath.rect(10.0 ** rng.uniform(-3, 0.3), rng.uniform(-math.pi, math.pi))
             for _ in range(6)
         ]
-        p, dp = pleating._exact_evaluator(coeffs)(np.array(z))
+        p, dp = rings._exact_evaluator(coeffs)(np.array(z))
         for k, w in enumerate(z):
             for got, poly in ((p[k], exact), (dp[k], deriv)):
                 re, im = _fraction_horner(poly, w)
@@ -210,7 +219,7 @@ def test_exact_evaluator_overflows_to_infinity():
     # 1e300 z^2 at |z| = 1e10 is 1e320: infinite, not an OverflowError.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p, dp = pleating._exact_evaluator([0, 0, 1e300])(np.array([1e10 + 0j, -1e10j]))
+        p, dp = rings._exact_evaluator([0, 0, 1e300])(np.array([1e10 + 0j, -1e10j]))
     assert p[0].real == math.inf and p[1].real == -math.inf
     assert dp[0].real == math.inf and dp[1].imag == -math.inf
 
@@ -594,7 +603,7 @@ def test_cusp_candidates_forward_accurate_up_to_40():
     for s in enumerate_farey(40):
         z = np.array(pleating.cusp_candidates(s).roots)
         shifted = (farey_polynomial(s, "parabolic") + Poly([2])).coeffs
-        p, dp = pleating._exact_evaluator(shifted)(z)
+        p, dp = rings._exact_evaluator(shifted)(z)
         step = np.abs(p / dp)
         assert np.all(step <= 1e-12 * (1 + np.abs(z))), (s, step.max())
 
@@ -651,17 +660,6 @@ def test_cusp_candidates_does_not_warn_past_q_60():
         pleating.cusp_candidates(Slope(55, 89))
 
 
-def test_dynsys_report():
-    report = pleating.dynsys_check()
-    assert report.all_pass, str(report)
-    names = [name for name, _, _ in report.checks]
-    assert any("fixed point (2,2,2)" in n for n in names)
-    assert any("fixed point (-4,-4,-4)" in n for n in names)
-    assert sum("eigenpair" in n for n in names) == 6
-    assert sum("determinant" in n for n in names) == 2
-    assert sum("char poly" in n for n in names) == 2
-
-
 def test_roots_of_integer_input_past_double_range_are_exact_and_do_not_warn():
     # The default evaluator takes 2**60 exactly: the 1 beside it is not lost.
     with warnings.catch_warnings():
@@ -704,6 +702,7 @@ def test_all_roots_restarts_particles_with_non_finite_ratios_apart(monkeypatch):
 
         return evaluate
 
+    # all_roots reads the evaluator by the name pleating imports from rings.
     monkeypatch.setattr(pleating, "_exact_evaluator", nan_first)
     rs, res, ok = pleating.all_roots([-8, 0, 0, 1])
     assert ok and max(res) < 1e-15 and len(calls) > 1

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -290,6 +291,31 @@ def test_evaluate_matches_polynomial_without_products(ring):
 def test_evaluate_rejects_the_generic_ring():
     with pytest.raises(ValueError, match="scalar"):
         recursion.get_engine("generic").evaluate(Slope(1, 2), np.array([1j]))
+
+
+def test_evaluate_runs_in_constant_memory():
+    # The walk to 1/1000 adds 999 mediants; a step drops the third vertex,
+    # so the peak stays near four pairs of arrays (0.08 MB measured), where
+    # keeping the path's values would take 16.4 MB.
+    z = np.linspace(0.0, 4.0, 500) + 0j
+    tracemalloc.start()
+    try:
+        recursion.get_engine("parabolic").evaluate(Slope(1, 1000), z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_dynsys_report():
+    report = recursion.dynsys_check()
+    assert report.all_pass, str(report)
+    names = [name for name, _, _ in report.checks]
+    assert any("fixed point (2,2,2)" in n for n in names)
+    assert any("fixed point (-4,-4,-4)" in n for n in names)
+    assert sum("eigenpair" in n for n in names) == 6
+    assert sum("determinant" in n for n in names) == 2
+    assert sum("char poly" in n for n in names) == 2
 
 
 def test_concurrent_engines_agree_with_oracle(monkeypatch):
