@@ -15,21 +15,23 @@ conjugate of its upper one (``_closed``).  Of each parabolic mirror pair
 p/q, (q - p)/q only the lower slope is solved; the other set is its
 negation (``cusp_candidates``).
 
-At orders (2, 2), whose polynomials are squares up to a linear factor,
-and for any other polynomial (``roots``), an Aberth-Ehrlich simultaneous
-iteration over complex doubles finds the roots (Aberth 1973, Ehrlich
-1967).  It evaluates the exact coefficients at each double point in
-Python ints and rounds P and P' once (``rings._exact_evaluator``), where
-double Horner on the expanded coefficients would be noise-bound.  The
-iteration starts from the companion-matrix eigenvalues of the
-coefficients (exact integers are Taylor-shifted to the root centroid
-first), which it only polishes; ``all_roots`` states its restart rule.
+At orders (2, 2), where P = +-2 T_q((z - 2) / 2), the roots are in
+closed form (``_extract``).  For any other polynomial (``roots``), an
+Aberth-Ehrlich simultaneous iteration over complex doubles finds the
+roots (Aberth 1973, Ehrlich 1967).  It evaluates the exact coefficients
+at each double point in Python ints and rounds P and P' once
+(``rings._exact_evaluator``), where double Horner on the expanded
+coefficients would be noise-bound.  The iteration starts from the
+companion-matrix eigenvalues of the coefficients (exact integers are
+Taylor-shifted to the root centroid first), which it only polishes;
+``all_roots`` states its restart rule.
 
-Either way the double coefficients probe the largest root's circle for
-overflow (``_probe_overflow``) and then score the result (``_verdict``).
-Reported residuals are backward-error scaled, |P(z)| / sum_k |c_k| |z|^k:
-an absolute residual is meaningless for these polynomials, whose terms
-reach 1e20+ at the outermost roots while cancelling to machine precision.
+Every route has the double coefficients probe the largest root's circle
+for overflow (``_probe_overflow``) and then score the result
+(``_verdict``).  Reported residuals are backward-error scaled,
+|P(z)| / sum_k |c_k| |z|^k: an absolute residual is meaningless for these
+polynomials, whose terms reach 1e20+ at the outermost roots while
+cancelling to machine precision.
 """
 
 from __future__ import annotations
@@ -76,34 +78,6 @@ class RootSet:
 
     def __len__(self) -> int:
         return len(self.roots)
-
-
-def _symmetrize_conjugates(z: np.ndarray) -> np.ndarray:
-    """Pair roots of a real polynomial into exact conjugate pairs.
-
-    Near-real roots are snapped onto the axis.  Each upper root is then
-    matched with the lower root nearest its conjugate, and a pair that is
-    each other's nearest and within ``_CONJUGATE_TOL`` (relative) is
-    averaged, which only moves each root by about its own error; other
-    roots are left alone.
-    """
-    z = z.copy()
-    near_real = np.abs(z.imag) <= _CONJUGATE_TOL * (1.0 + np.abs(z))
-    z[near_real] = z[near_real].real
-    upper = np.flatnonzero(~near_real & (z.imag > 0))
-    lower = np.flatnonzero(~near_real & (z.imag < 0))
-    if upper.size and lower.size:
-        dist = np.abs(z[upper, None].conjugate() - z[None, lower])
-        nearest = dist.argmin(axis=1)
-        rows = np.arange(upper.size)
-        paired = (dist.argmin(axis=0)[nearest] == rows) & (
-            dist[rows, nearest] <= _CONJUGATE_TOL * (1.0 + np.abs(z[upper]))
-        )
-        up, low = upper[paired], lower[nearest[paired]]
-        avg = (z[up] + z[low].conjugate()) / 2
-        z[up] = avg
-        z[low] = avg.conjugate()
-    return z
 
 
 def _taylor_shift(c: list, h) -> list:
@@ -195,10 +169,9 @@ def _scaled_companion_roots(d: np.ndarray) -> np.ndarray:
 _MAX_ITER = 400
 _STEP_TOL = 5e-14
 _CONVERGED_RESIDUAL = 1e-10
-# The relative distance within which ``_symmetrize_conjugates`` and
-# ``_closed`` snap a root onto the axis, and the former pairs two roots.
-# It must stay below the closest genuine root separation, or distinct
-# roots would merge; the roots it snaps are accurate to double resolution.
+# The relative distance within which ``_closed`` snaps a root onto the
+# axis.  It must stay below the distance of every genuine non-real root
+# from the axis; the roots it snaps are accurate to double resolution.
 _CONJUGATE_TOL = 1e-9
 
 
@@ -209,9 +182,12 @@ def all_roots(coeffs: list[complex]) -> tuple[list[complex], list[float], bool]:
     all taken exactly; the leading coefficient must be nonzero.  Each
     particle's P and P' are the exact values at its double point, rounded
     once (``rings._exact_evaluator``).  Every particle moves until the step
-    test passes, and conjugate candidates of real coefficients merge only
-    within 1e-9.  The coefficients also give the initial guesses (their
-    companion-matrix eigenvalues, about the root centroid for ints, see
+    test passes, and the roots are returned as the loop leaves them: with
+    P evaluated exactly, a settled root lies as close to a true root as its
+    double resolution allows, so the roots of real coefficients come out
+    conjugate-closed to that resolution with no pairing step.  The
+    coefficients also give the initial guesses (their companion-matrix
+    eigenvalues, about the root centroid for ints, see
     ``_initial_guesses``) and, as doubles, the overflow probe and the
     residuals.  The restart circle is the circle of the largest initial
     guess, where the probe found P finite; a particle whose Newton ratio
@@ -236,7 +212,7 @@ def all_roots(coeffs: list[complex]) -> tuple[list[complex], list[float], bool]:
     c = np.array(cs, dtype=complex)
     deg = len(cs) - 1
     if deg == 0:
-        roots_arr = np.array([], dtype=complex)
+        z = np.array([], dtype=complex)
     else:
         evaluate = _exact_evaluator(exact)
 
@@ -283,8 +259,7 @@ def all_roots(coeffs: list[complex]) -> tuple[list[complex], list[float], bool]:
         for _ in range(0 if settled else 3):
             newton = newton_ratio(z)
             z = np.where(np.isfinite(newton), z - newton, z)
-        roots_arr = _symmetrize_conjugates(z) if np.all(np.isreal(c)) else z
-    return _verdict(c, roots_arr, zero_roots)
+    return _verdict(c, z, zero_roots)
 
 
 def _double_coefficients(coeffs: list) -> list[complex]:
@@ -390,8 +365,8 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
     These approximate the boundary of the (parabolic or cone-angle)
     slice; which of them are genuine cusp points is an open question.
     The roots are the transfer matrix's reciprocal eigenvalues after one
-    Newton correction by the triangle recursion, and at orders (2, 2) the
-    Aberth loop's on the exact coefficients (``_extract``).  Every set
+    Newton correction by the triangle recursion, and at orders (2, 2) a
+    closed form (``_extract``); no set runs the Aberth loop.  Every set
     lists its roots sorted by (round(re, 12), round(im, 12)), and a
     parabolic set is exactly closed under conjugation.
 
@@ -422,12 +397,17 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
     return mine
 
 
-# At orders (2, 2), P + 2 = +-(z - k)^(q mod 2) S(z)^2: det(W(0) + I) =
-# P(0) + 2 vanishes where k = 0, and every other root is double, where
-# one Newton correction divides noise by P' ~ 0 (up to 8.4e-2 off for
-# q <= 24).  This ring's roots come from the Aberth loop on the exactly
-# evaluated coefficients.
-_DOUBLE_ROOT_RING = Ring.parse("numeric(2,2)")
+# At orders (2, 2), alpha = beta = i and X^2 = Y^2 = -I, so each inverse
+# letter is minus its letter and the Farey word is W = sigma (YX)^q, where
+# sigma = +-1 is the leading coefficient of P.  With tr(YX) = z - 2 and
+# tr M^q = 2 T_q(tr M / 2) in SL(2), P = sigma 2 T_q((z - 2) / 2), and at
+# z = 4 sin^2(m pi / (2q)) = 2 - 2 cos(m pi / q) it is sigma 2 (-1)^(q + m).
+# So the q roots of P + 2 are these points for m = q - 2j - [sigma > 0],
+# j = 0 .. q - 1, all in [0, 4].  Where +-m coincide the root is double,
+# and the transfer-matrix route breaks: one Newton correction divides
+# noise by P' ~ 0 there, and det(W(0) + I) = P(0) + 2 vanishes where 0 is
+# a root.
+_INVOLUTION_RING = Ring.parse("numeric(2,2)")
 
 
 def _extract(s: Slope, ring: Ring) -> RootSet:
@@ -439,18 +419,20 @@ def _extract(s: Slope, ring: Ring) -> RootSet:
     with Im >= 0 are corrected, and the others are the exact conjugates of
     the moved ones (``_closed``): the split comes before the correction,
     so a pair that the correction snaps onto the axis keeps both its
-    roots.  The coefficients only probe for overflow and score the roots,
-    which come from the recursion's values, so exact integers past 2**53
-    may round to doubles.  Orders (2, 2) are the exception
-    (``_DOUBLE_ROOT_RING``).
+    roots.  Orders (2, 2) are the exception: their roots are in closed
+    form (``_INVOLUTION_RING``), exactly 0 and 4 where m = 0 and m = +-q.
+    The coefficients only probe for overflow and score the roots, so
+    exact integers past 2**53 may round to doubles.
     """
     engine = get_engine(ring)
     two = ring.coeff(Laurent2.const(2))
     coeffs = (engine.polynomial(s) + Poly([two])).coeffs
-    if ring == _DOUBLE_ROOT_RING:
-        rs, res, ok = all_roots(coeffs)
+    c = np.array(_double_coefficients(coeffs))
+    if ring == _INVOLUTION_RING:
+        _probe_overflow(c, 4.0)
+        m = s.q - 2 * np.arange(s.q) - (c[-1].real > 0)
+        rs, res, ok = _verdict(c, 4 * np.sin(m * np.pi / (2 * s.q)) ** 2 + 0j)
     else:
-        c = np.array(_double_coefficients(coeffs))
         g = _transfer_matrix(s, ring.params)
         z = 1.0 / np.linalg.eigvals(g)
         _probe_overflow(c, float(np.max(np.abs(z))))

@@ -75,15 +75,17 @@ def test_roots_whose_coefficient_ratios_pass_double_range():
     assert max(residuals) < 1e-14
 
 
-# The nudge, the step floor and the near-real snap are absolute for
-# |z| < 1.  The exact default evaluator still resolves roots of modulus
-# 1e-6, but roots of modulus 1e-10 come back as +-1e-28 with residual
-# 1.0; the converged flag must say so, whatever the step test said.
+# The nudge and the step floor are absolute for |z| < 1.  The exact
+# default evaluator resolves roots of z^2 + e^2 down to modulus 1e-11, but
+# from 1e-12 on the step floor 5e-14 (1 + |z|) ends the loop first: roots
+# of modulus 1e-15 come back about 20 times their modulus off, with
+# residual 1.0, and the converged flag must say so, whatever the step
+# test said.
 def test_tiny_roots_do_not_warn_and_are_not_converged():
     # Particles must not coincide in the Aberth sums' divisions.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        found, residuals, converged = pleating.all_roots([1e-20, 0, 1])
+        found, residuals, converged = pleating.all_roots([1e-30, 0, 1])
     assert len(found) == 2 and not converged
 
 
@@ -91,6 +93,11 @@ def test_roots_of_modulus_1e_6_are_resolved():
     rs = pleating.roots(Poly([1e-12, 0, 1]))
     assert rs.roots == pytest.approx([-1e-6j, 1e-6j], rel=1e-15)
     assert max(rs.residuals) < 1e-15 and rs.converged
+    # Both roots of modulus 1e-10 round to 0 in the sort key, so they are
+    # compared in order of Im.
+    found, residuals, converged = pleating.all_roots([1e-20, 0, 1])
+    assert sorted(found, key=lambda z: z.imag) == pytest.approx([-1e-10j, 1e-10j], rel=1e-12)
+    assert max(residuals) < 1e-15 and converged
 
 
 def test_roots_rejects_overflowing_evaluation():
@@ -486,52 +493,17 @@ def test_root_sets_are_sorted_by_rounded_parts(no_mirrors):
     assert found == sorted(found, key=_round_key)
 
 
-def test_symmetrize_conjugates():
-    near_real = 3 + 1e-12j
-    pair = (1 + 2.000000000001j, 1.000000000001 - 2j)
-    unmatched = 5 + 1j
-    far_pair = (-2 + 1j, -2.001 - 1j)
-    z = np.array([near_real, *pair, unmatched, *far_pair])
-    out = pleating._symmetrize_conjugates(z)
-    assert out[0] == 3 and out[0].imag == 0
-    avg = (pair[0] + pair[1].conjugate()) / 2
-    assert out[1] == avg and out[2] == avg.conjugate()
-    assert list(out[3:]) == list(z[3:])
-
-
-def _symmetrize_conjugates_loop(z, tol):
-    # Reference: the greedy pairing loop that the vectorised version
-    # replaced; each unpaired root takes its nearest later partner.
-    out, used = list(z), [False] * len(z)
-    for i, zi in enumerate(out):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(zi.imag) <= tol * (1.0 + abs(zi)):
-            out[i] = complex(zi.real, 0.0)
-            continue
-        rest = [j for j in range(i + 1, len(out)) if not used[j]]
-        best = min(rest, key=lambda j: abs(out[j] - zi.conjugate()), default=None)
-        if best is not None and abs(out[best] - zi.conjugate()) <= tol * (1.0 + abs(zi)):
-            avg = (zi + out[best].conjugate()) / 2
-            out[i], out[best] = avg, avg.conjugate()
-            used[best] = True
-    return np.array(out, dtype=complex)
-
-
-def test_symmetrize_conjugates_matches_the_greedy_loop():
-    rng = np.random.default_rng(7)
-    centres = rng.uniform(-4, 4, 30) + 1j * rng.uniform(0.1, 4, 30)
-    noise = lambda n: 1e-11 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    z = np.concatenate([
-        centres + noise(30),
-        centres.conjugate() + noise(30),
-        rng.uniform(-4, 4, 5) + 1e-12j,
-        rng.uniform(-4, 4, 3) + 1j * rng.uniform(0.1, 4, 3),
-    ])
-    z = z[rng.permutation(len(z))]
-    want = _symmetrize_conjugates_loop(z, 1e-9)
-    assert list(pleating._symmetrize_conjugates(z)) == list(want)
+def test_roots_are_conjugate_closed():
+    # The Aberth loop has no pairing step: with P evaluated exactly, the
+    # roots of a real polynomial come out conjugate-closed to rounding.
+    rng = np.random.default_rng(11)
+    polys = [rng.integers(-50, 51, size=n + 1).tolist() for n in rng.integers(2, 31, size=100)]
+    polys += [rng.standard_normal(n + 1).tolist() for n in rng.integers(2, 31, size=16)]
+    for c in polys:
+        c[-1] = c[-1] or 1
+        found = np.array(pleating.roots(Poly(c)).roots)
+        gaps = np.abs(found.conjugate()[:, None] - found[None, :]).min(axis=1)
+        assert np.all(gaps <= 1e-12 * np.abs(found)), c
 
 
 def test_cusp_candidates_examples():
@@ -749,3 +721,39 @@ def test_cusp_candidates_with_a_root_at_zero():
     assert 0j in rs.roots
     for rs in pleating.slice_cloud(5, params):
         assert_root_set_properties(rs, farey_polynomial(rs.slope, params).coeffs)
+
+
+def test_orders_2_2_polynomials_are_lucas_polynomials():
+    # At orders (2, 2), P_{p/q} = sigma 2 T_q((z - 2) / 2) with
+    # sigma = (-1)^(number of inverse letters): the identity behind the
+    # closed-form roots (``pleating._INVOLUTION_RING``).  2 T_n(y / 2) is
+    # the Lucas polynomial L_n(y), L_0 = 2, L_1 = y and
+    # L_(n+1) = y L_n - L_(n-1).  The complex-double coefficients stay below
+    # 2**53 for q <= 40 and compare to 1e-12 relative; for q <= 20 the
+    # exact ints compare exactly.
+    params = GeneratorParams(2, 2)
+    y = Poly([-2, 1])
+    lucas = [Poly([2]), y]
+    while len(lucas) <= 40:
+        lucas.append(y * lucas[-1] - lucas[-2])
+    for s in enumerate_farey(40):
+        sigma = (-1) ** farey_exponents(s).count(-1)
+        want = [sigma * c for c in lucas[s.q].coeffs]
+        got = np.array(farey_polynomial(s, params).coeffs)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), s
+        if s.q <= 20:
+            want[0] += 2
+            assert _exact_order_2_polynomial(s).coeffs == want, s
+
+
+def test_no_cusp_set_runs_the_aberth_loop(monkeypatch):
+    # Every ring's cusp candidates come from the transfer matrix or, at
+    # orders (2, 2), from the closed form.
+    def aberth(coeffs):
+        raise AssertionError("cusp_candidates ran the Aberth loop")
+
+    monkeypatch.setattr(pleating, "all_roots", aberth)
+    inf = math.inf
+    for ab in [None, (2, 2), (3, 4), (2, 3), (3, inf), (inf, 3)]:
+        params = ab and GeneratorParams(*ab)
+        assert len(pleating.slice_cloud(12, params)) == len(enumerate_farey(12)), ab
