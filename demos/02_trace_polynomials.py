@@ -13,8 +13,8 @@ from fareyslice import (
     enumerate_farey,
     farey_polynomial,
     oracle,
-    specialize_parabolic,
 )
+from fareyslice.rings import Ring
 
 print("recursion vs matrix oracle, exact equality in the generic ring:")
 for s in enumerate_farey(6):
@@ -30,7 +30,7 @@ for i in range(2, 8):
 s = Slope(3, 8)
 generic = farey_polynomial(s, "generic")
 print(f"\nspecialisations of the {s} polynomial:")
-print(f"  parabolic: {specialize_parabolic(generic).coeffs}")
+print(f"  parabolic: {Ring.parse('parabolic').specialize(generic).coeffs}")
 for a, b in ((3, 3), (3, 4), (4, math.inf)):
     params = GeneratorParams(a, b)
     numeric = farey_polynomial(s, params)

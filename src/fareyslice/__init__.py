@@ -32,8 +32,6 @@ from .rings import (
     Poly,
     is_perfect_square,
     poly_sqrt_exact,
-    specialize_numeric,
-    specialize_parabolic,
 )
 from .slopes import (
     CFExpansion,
@@ -93,8 +91,6 @@ __all__ = [
     "cubic_step",
     "cubic_step_homogeneous",
     "recursion_constants",
-    "specialize_parabolic",
-    "specialize_numeric",
     "poly_sqrt_exact",
     "is_perfect_square",
     "oracle",

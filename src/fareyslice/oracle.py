@@ -59,7 +59,6 @@ __all__ = [
     "farey_polynomial",
     "trace_product",
     "trace_quotient",
-    "recursion_constant",
     "product_constant",
     "quotient_constant",
 ]
@@ -248,21 +247,12 @@ def _check_pair(a: Slope, b: Slope) -> None:
 
 
 def _const(ring: RingSpec, generic: Laurent2) -> Poly:
-    return Poly([Ring.parse(ring).coeff(generic)])
+    return Ring.parse(ring).specialize(Poly([generic]))
 
 
-_EVEN_SUM = Laurent2({(0, 0): 4, (2, 0): 1, (-2, 0): 1, (0, 2): 1, (0, -2): 1})
-_ODD_SUM = Laurent2({(1, 1): 2, (1, -1): 2, (-1, 1): 2, (-1, -1): 2})
 _PROD_EVEN = Laurent2({(0, 0): 2, (2, 0): 1, (-2, 0): 1})
 _QUOT_EVEN = Laurent2({(0, 0): 2, (0, 2): 1, (0, -2): 1})
 _MIXED_ODD = Laurent2({(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1})
-
-
-def recursion_constant(parity_even: bool, ring: RingSpec = "generic") -> Poly:
-    """Triangle-sum constant: the even case uses squared single-parameter
-    terms, the odd case twice the mixed terms; both collapse to 8
-    parabolically."""
-    return _const(ring, _EVEN_SUM if parity_even else _ODD_SUM)
 
 
 def product_constant(parity_even: bool, ring: RingSpec = "generic") -> Poly:

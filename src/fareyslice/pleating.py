@@ -22,9 +22,9 @@ roots (Aberth 1973, Ehrlich 1967).  It evaluates the exact coefficients
 at each double point in Python ints and rounds P and P' once
 (``rings._exact_evaluator``), where double Horner on the expanded
 coefficients would be noise-bound.  The iteration starts from the
-companion-matrix eigenvalues of the coefficients (exact integers are
-Taylor-shifted to the root centroid first), which it only polishes;
-``all_roots`` states its restart rule.
+companion-matrix eigenvalues of the coefficients, Taylor-shifted exactly
+to the root centroid first, which it only polishes; ``all_roots`` states
+its restart rule.
 
 Every route has the double coefficients probe the largest root's circle
 for overflow (``_probe_overflow``) and then score the result
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DegreeOverflow, FormalVertex
 from .recursion import get_engine
-from .rings import GeneratorParams, Laurent2, Poly, Ring, _exact_evaluator
+from .rings import GeneratorParams, Laurent2, Poly, Ring, _exact_evaluator, _over_power_of_two
 from .slopes import CFExpansion, Slope, _mediant_walk, enumerate_farey
 from .words import farey_exponents
 
@@ -92,48 +92,51 @@ def _taylor_shift(c: list, h) -> list:
 
 
 def _initial_guesses(coeffs: list) -> np.ndarray:
-    """Companion-matrix eigenvalues of the coefficients.
+    """Companion-matrix eigenvalues of the coefficients, about the root
+    centroid.
 
-    Int coefficients are first moved to w = z - h, where h = a / 4 is the
-    quarter integer nearest the root centroid -c_{n-1} / (n c_n).  About
-    z = 0 the coefficients of a fan's P + 2 span 1e15 while its roots lie
-    in [0, 4], and for q <= 40 the eigenvalues come out up to 1.4 from the
-    nearest root; about the centroid, at most 3e-4.  The shift is exact:
-    c_k 4^(n-k) are the coefficients of 4^n P(x / 4), which shift by the
-    integer a, and each b_k / 4^(n-k) rounds once to a double.  Other
-    coefficients are taken as complex doubles about z = 0: rounding has
-    already lost what a shift in doubles would need.
+    The coefficients, ints or anything ``complex`` accepts, are put over
+    one power of two 2^e as ``rings._exact_evaluator`` puts them, real and
+    imaginary numerators apart, and the variable moves to w = z - h, where
+    h = a / 4 is the quarter integer nearest the real part of the root
+    centroid -c_{n-1} / (n c_n), found in ints.  About z = 0 the
+    coefficients of a fan's P + 2 span 1e15 while its roots lie in [0, 4],
+    and for q <= 40 the eigenvalues come out up to 1.4 from the nearest
+    root; about the centroid, at most 3e-4.  The shift is exact: the
+    numerators times 4^(n-k) are those of 4^n P(x / 4), which shift by the
+    integer a, and each over 4^(n-k) 2^e rounds once to a double.  So a
+    double coefficient shifts as the exact dyadic it is, and ints and their
+    exact double copies give the same guesses.
 
     The eigenvalues are backward-stable roots of the shifted coefficients
     (Edelman & Murakami 1995), so an accurate evaluator only has to polish
     them.  Each eigenvalue r_k (shifted back by h) is nudged by
-    1e-6 (1 + |r_k|) at angle 2 pi k / n + 0.4: Aberth steps keep conjugate
+    1e-6 |r_k| at angle 2 pi k / n + 0.4: Aberth steps keep conjugate
     symmetry, so a particle starting on the real axis would stay there, and
     a multiple root's equal eigenvalues must not start on one point, where
     the Aberth sums divide by zero.
     """
     n = len(coeffs) - 1
-    if all(isinstance(c, int) for c in coeffs):
-        num, den = -4 * coeffs[-2], n * coeffs[-1]
-        if den < 0:
-            num, den = -num, -den
-        a = (2 * num + den) // (2 * den)  # num / den rounded, in ints
-        scales = [4 ** (n - k) for k in range(n + 1)]
-        shifted = _taylor_shift([c * s for c, s in zip(coeffs, scales)], a)
-        try:
-            shifted = [b / s for b, s in zip(shifted, scales)]
-        except OverflowError:
-            raise DegreeOverflow("shifted coefficients exceed double range") from None
-    else:
-        a, shifted = 0, [complex(c) for c in coeffs]
-    d = np.array(shifted, dtype=complex)
+    cs = [c if isinstance(c, int) else complex(c) for c in coeffs]
+    nums, e = _over_power_of_two([part for c in cs for part in (c.real, c.imag)])
+    real, imag = nums[0::2], nums[1::2]
+    num = -4 * (real[-2] * real[-1] + imag[-2] * imag[-1])
+    den = n * (real[-1] ** 2 + imag[-1] ** 2)
+    a = (2 * num + den) // (2 * den)  # num / den rounded, in ints
+    scales = [4 ** (n - k) for k in range(n + 1)]
+    real, imag = (_taylor_shift([x * s for x, s in zip(part, scales)], a) for part in (real, imag))
+    try:
+        h = a / 4
+        d = np.array([complex(x / (s << e), y / (s << e)) for x, y, s in zip(real, imag, scales)])
+    except OverflowError:
+        raise DegreeOverflow("shifted coefficients exceed double range") from None
     with np.errstate(all="ignore"):
         try:
-            eig = _companion_roots(d) + a / 4
+            eig = _companion_roots(d) + h
         except np.linalg.LinAlgError:  # an entry d_k / d_n overflowed
-            eig = _scaled_companion_roots(d) + a / 4
+            eig = _scaled_companion_roots(d) + h
         angles = 2 * np.pi * np.arange(len(eig)) / len(eig) + 0.4
-        z = eig + 1e-6 * (1.0 + np.abs(eig)) * np.exp(1j * angles)
+        z = eig + 1e-6 * np.abs(eig) * np.exp(1j * angles)
     if not np.all(np.isfinite(z)):
         raise DegreeOverflow("initial guesses exceed double range")
     return z
@@ -187,16 +190,18 @@ def all_roots(coeffs: list[complex]) -> tuple[list[complex], list[float], bool]:
     double resolution allows, so the roots of real coefficients come out
     conjugate-closed to that resolution with no pairing step.  The
     coefficients also give the initial guesses (their companion-matrix
-    eigenvalues, about the root centroid for ints, see
-    ``_initial_guesses``) and, as doubles, the overflow probe and the
-    residuals.  The restart circle is the circle of the largest initial
-    guess, where the probe found P finite; a particle whose Newton ratio
-    is not finite (P overflowing, say), or that moves outside twice that
-    circle, restarts on it at a fresh angle.  The step test only ends the
-    loop; a run that does not settle within the budget gets a short
-    Newton polish.  Exact zero roots are split off first.  Returns
-    (roots, scaled residuals, converged), where converged means the worst
-    scaled residual is below 1e-10.
+    eigenvalues about the root centroid, see ``_initial_guesses``) and, as
+    doubles, the overflow probe and the residuals.  The restart circle is
+    the circle of the largest initial guess, where the probe found P
+    finite; a particle whose Newton ratio is not finite (P overflowing,
+    say), or that moves outside twice that circle, restarts on it at a
+    fresh angle.  The step test, |step| <= 5e-14 |z| for every particle,
+    and the guesses' nudge are relative to each root's own modulus, so no
+    threshold of the loop is absolute.  The step test only ends the loop;
+    a run that does not settle within the budget gets a short Newton
+    polish.  Exact zero roots
+    are split off first.  Returns (roots, scaled residuals, converged),
+    where converged means the worst scaled residual is below 1e-10.
     """
     exact = list(coeffs)
     cs = _double_coefficients(exact)
@@ -252,7 +257,7 @@ def all_roots(coeffs: list[complex]) -> tuple[list[complex], list[float], bool]:
                 angles = np.angle(np.nan_to_num(z[runaway])) + escape_rotation + spread
                 z[runaway] = restart * np.exp(1j * angles)
                 continue
-            if np.all(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(z))):
+            if np.all(np.abs(step) <= _STEP_TOL * np.abs(z)):
                 settled = True
                 break
         # Newton polish, for a run that did not settle.

@@ -36,7 +36,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import oracle
 from .errors import ZeroDivisor
 from .rings import Laurent2, Poly, Ring, RingSpec
 from .slopes import CFExpansion, Slope, semiconvergent_path
@@ -63,9 +62,14 @@ _GENERIC_SEEDS = {
     (1, 0): Poly([Laurent2.const(2)]),
 }
 
+# The even and odd triangle sums C with generic coefficients; every ring
+# specialises them (``recursion_constants``).
+_EVEN_SUM = Laurent2({(0, 0): 4, (2, 0): 1, (-2, 0): 1, (0, 2): 1, (0, -2): 1})
+_ODD_SUM = Laurent2({(1, 1): 2, (1, -1): 2, (-1, 1): 2, (-1, -1): 2})
+
 
 def _seeds(ring: Ring) -> dict[tuple[int, int], Poly]:
-    return {k: Poly([ring.coeff(c) for c in p.coeffs]) for k, p in _GENERIC_SEEDS.items()}
+    return {k: ring.specialize(p) for k, p in _GENERIC_SEEDS.items()}
 
 
 def descend(cache: dict, s: Slope, step: Callable) -> object:
@@ -101,11 +105,9 @@ class FareyPolynomialEngine:
     """Memoized recursion for one coefficient ring."""
 
     def __init__(self, ring: RingSpec = "parabolic"):
-        self.ring = ring
-        parsed = Ring.parse(ring)
-        self._scalar = parsed.name != "generic"
-        self._cache: dict[tuple[int, int], Poly] = _seeds(parsed)
-        self._constants = recursion_constants(ring)
+        self.ring = Ring.parse(ring)
+        self._cache: dict[tuple[int, int], Poly] = _seeds(self.ring)
+        self._constants = recursion_constants(self.ring)
         self._lock = threading.Lock()
 
     def polynomial(self, s: Slope) -> Poly:
@@ -128,7 +130,7 @@ class FareyPolynomialEngine:
         keeping every value of the path would take 16.4 MB.  The generic
         ring has no scalar values and raises ValueError.
         """
-        if not self._scalar:
+        if self.ring.name == "generic":
             raise ValueError("the generic ring has no scalar values to evaluate at")
         z = np.asarray(z, dtype=complex)
         values = {}
@@ -295,8 +297,9 @@ def dynsys_check() -> DynSysReport:
 
 
 def recursion_constants(ring: RingSpec = "parabolic") -> tuple[Poly, Poly]:
-    """(even, odd) triangle-sum constants of the ring, as polynomials."""
-    return (
-        oracle.recursion_constant(True, ring),
-        oracle.recursion_constant(False, ring),
-    )
+    """(even, odd) triangle-sum constants C of the ring, as polynomials:
+    the generic sums ``_EVEN_SUM`` and ``_ODD_SUM`` specialised.  The even
+    one takes the squared single-parameter terms, the odd one twice the
+    mixed terms, and both collapse to 8 parabolically."""
+    ring = Ring.parse(ring)
+    return ring.specialize(Poly([_EVEN_SUM])), ring.specialize(Poly([_ODD_SUM]))

@@ -46,8 +46,6 @@ __all__ = [
     "Poly",
     "GeneratorParams",
     "Ring",
-    "specialize_parabolic",
-    "specialize_numeric",
     "poly_sqrt_exact",
     "is_perfect_square",
     "poly_mul_count",
@@ -594,10 +592,12 @@ class GeneratorParams:
 class Ring:
     """The coefficient ring of a computation: generic, parabolic or numeric.
 
-    This is the one place that parses a ring spec and the one map from
-    generic ``Laurent2`` coefficients into the ring's scalars.  Equal specs
-    give equal (hashable) values; the parabolic ring (int coefficients) and
-    numeric ``GeneratorParams(inf, inf)`` (complex coefficients) differ.
+    This is the one place that parses a ring spec and the one map out of
+    the generic ring: ``coeff`` takes a generic coefficient to the ring's
+    scalar, and ``specialize`` a generic polynomial to the ring's.  Equal
+    specs give equal (hashable) values; the parabolic ring (int
+    coefficients) and numeric ``GeneratorParams(inf, inf)`` (complex
+    coefficients) differ.
     """
 
     name: str
@@ -618,11 +618,19 @@ class Ring:
             return cls("numeric", GeneratorParams(a, b))
         raise ValueError(f"unknown ring {spec!r}")
 
-    def coeff(self, x: Laurent2):
-        """The value of a generic coefficient in this ring."""
+    def coeff(self, x: Laurent2 | int):
+        """The value of a generic coefficient in this ring.  A plain int is
+        a constant: it stays, as a complex in a numeric ring."""
+        if isinstance(x, int):
+            return x if self.params is None else complex(x)
         if self.params is not None:
             return x.evaluate(self.params.alpha, self.params.beta)
         return x if self.name == "generic" else x.at_one()
+
+    def specialize(self, p: Poly) -> Poly:
+        """The generic polynomial ``p`` in this ring, coefficient by
+        coefficient through ``coeff``."""
+        return Poly(map(self.coeff, p.coeffs))
 
     @property
     def label(self) -> str:
@@ -634,18 +642,6 @@ class Ring:
 # caches every Union it builds, and a Union of the classes themselves would
 # keep each imported copy of this module alive.
 RingSpec = Union[str, "GeneratorParams", "Ring"]
-
-
-def specialize_parabolic(p: Poly) -> Poly:
-    """Set both generator parameters to 1 in a Laurent-coefficient polynomial."""
-    ring = Ring.parse("parabolic")
-    return Poly([ring.coeff(c) if isinstance(c, Laurent2) else c for c in p.coeffs])
-
-
-def specialize_numeric(p: Poly, params: GeneratorParams) -> Poly:
-    """Evaluate Laurent coefficients at the roots of unity given by params."""
-    ring = Ring.parse(params)
-    return Poly([ring.coeff(c) if isinstance(c, Laurent2) else complex(c) for c in p.coeffs])
 
 
 def is_perfect_square(n: int) -> Optional[int]:

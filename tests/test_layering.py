@@ -41,3 +41,8 @@ def test_oracle_is_independent_of_the_recursion_and_the_root_finder():
 def test_no_lower_layer_imports_the_root_finder():
     for name in ("rings", "slopes", "words", "oracle", "recursion", "frf"):
         assert "pleating" not in imported_modules(name), name
+
+
+def test_recursion_does_not_import_the_oracle():
+    # The recursion owns its seeds and triangle sums; the oracle checks it.
+    assert "oracle" not in imported_modules("recursion")

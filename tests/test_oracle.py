@@ -19,12 +19,11 @@ from fareyslice import (
     mediant,
     ominus,
     parents,
-    specialize_parabolic,
 )
 from fareyslice import oracle
 from fareyslice.errors import FormalVertex, NotNeighbours
 from fareyslice.recursion import farey_polynomial
-from fareyslice.rings import Slots
+from fareyslice.rings import Ring, Slots
 from fareyslice.words import Letter
 
 
@@ -127,7 +126,7 @@ def test_packed_generic_word_matrix_at_each_slot_width(text, slot_bytes):
     generic = oracle.word_matrix(w)
     assert generic == reference_word_matrix(w)
     for g, p in zip(generic, oracle.word_matrix(w, "parabolic")):
-        assert specialize_parabolic(g) == p
+        assert Ring.parse("parabolic").specialize(g) == p
     for g, n in zip(generic, oracle.word_matrix(w, GeneratorParams(3, 4))):
         exact = [_value_at_orders_3_4(c) for c in g.coeffs]
         scale = max(map(abs, exact))

@@ -75,18 +75,36 @@ def test_roots_whose_coefficient_ratios_pass_double_range():
     assert max(residuals) < 1e-14
 
 
-# The nudge and the step floor are absolute for |z| < 1.  The exact
-# default evaluator resolves roots of z^2 + e^2 down to modulus 1e-11, but
-# from 1e-12 on the step floor 5e-14 (1 + |z|) ends the loop first: roots
-# of modulus 1e-15 come back about 20 times their modulus off, with
-# residual 1.0, and the converged flag must say so, whatever the step
-# test said.
-def test_tiny_roots_do_not_warn_and_are_not_converged():
-    # Particles must not coincide in the Aberth sums' divisions.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        found, residuals, converged = pleating.all_roots([1e-30, 0, 1])
-    assert len(found) == 2 and not converged
+# The nudge and the step test are relative to each root's own modulus, so
+# roots of z^2 + e^2 come out as +-e i at any scale.
+def test_tiny_roots_are_resolved_without_warning():
+    for c0, e in ((1e-30, 1e-15), (1e-200, 1e-100)):
+        # Particles must not coincide in the Aberth sums' divisions.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            found, residuals, converged = pleating.all_roots([c0, 0, 1])
+        assert sorted(found, key=lambda z: z.imag) == pytest.approx([-e * 1j, e * 1j], rel=1e-12)
+        assert converged
+
+
+def test_roots_of_very_different_moduli_are_resolved():
+    # Thresholds scaled by the largest root alone, 1e12 here, would leave
+    # the four roots of modulus 1e-6 unresolved.
+    p = Poly([-1, 10**6]) * Poly([-2, 10**6]) * Poly([1, 0, 10**12]) * Poly([-(10**12), 1])
+    found, residuals, converged = pleating.all_roots(p.coeffs)
+    assert converged and len(found) == 5
+    for w in (1e-6, 2e-6, 1e-6j, -1e-6j, 1e12):
+        assert min(abs(z - w) for z in found) <= 1e-12 * abs(w), w
+
+
+def test_initial_guesses_of_double_copies_equal_those_of_ints():
+    # A double coefficient shifts as the exact dyadic it is, so the exact
+    # complex copies of the parabolic P + 2 (below 2**53 for q <= 40) get
+    # the int coefficients' guesses bit for bit.
+    for s in enumerate_farey(40):
+        ints = (farey_polynomial(s) + Poly([2])).coeffs
+        want = pleating._initial_guesses(ints)
+        assert pleating._initial_guesses([complex(c) for c in ints]).tobytes() == want.tobytes(), s
 
 
 def test_roots_of_modulus_1e_6_are_resolved():
@@ -111,12 +129,15 @@ def test_roots_rejects_overflowing_evaluation():
 
 
 def test_all_roots_probes_the_restart_circle_for_overflow():
-    # The guesses, near -1e308 and -1, are finite, but sum |c_k| r^k
-    # overflows on the circle of the larger one, where particles restart.
+    # The roots of the first, near -1e308 and -1, overflow the shift to
+    # their centroid.  The guesses of the second, +-1e308, are finite, but
+    # sum |c_k| r^k overflows on their circle, where particles restart.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegreeOverflow, match="during iteration"):
+        with pytest.raises(DegreeOverflow, match="shifted coefficients"):
             pleating.all_roots([1e308, 1e308, 1])
+        with pytest.raises(DegreeOverflow, match="during iteration"):
+            pleating.all_roots([-1e308, 0, 1e-308])
 
 
 def test_cusp_candidates_at_q_400(no_mirrors):

@@ -25,7 +25,6 @@ from fareyslice import (
     parents,
     recursion_constants,
     reduced_farey_polynomial,
-    specialize_numeric,
 )
 from fareyslice import frf, oracle, recursion
 from fareyslice.recursion import FareyPolynomialEngine
@@ -166,11 +165,11 @@ def test_numeric_engine_matches_specialised_generic():
     ):
         # The seeds are the generic ones specialised, exactly.
         for s in (ZERO, ONE, INFINITY):
-            expected = specialize_numeric(farey_polynomial(s, "generic"), params)
+            expected = Ring.parse(params).specialize(farey_polynomial(s, "generic"))
             assert farey_polynomial(s, params) == expected
         for s in enumerate_farey(12):
             numeric = farey_polynomial(s, params)
-            expected = specialize_numeric(farey_polynomial(s, "generic"), params)
+            expected = Ring.parse(params).specialize(farey_polynomial(s, "generic"))
             assert numeric.degree == expected.degree
             for cn, ce in zip(numeric.coeffs, expected.coeffs):
                 assert abs(cn - ce) <= 1e-9 * max(1.0, abs(ce))

@@ -16,8 +16,6 @@ from fareyslice import (
     farey_polynomial,
     is_perfect_square,
     poly_sqrt_exact,
-    specialize_numeric,
-    specialize_parabolic,
 )
 from fareyslice import oracle, rings
 from fareyslice.errors import ZeroDivisor
@@ -334,9 +332,10 @@ def test_slot_layout_round_trip(case):
 
 
 def test_specialize_parabolic_examples():
-    assert specialize_parabolic(farey_polynomial(Slope(1, 2), "generic")).coeffs == [2, 0, 1]
-    assert specialize_parabolic(farey_polynomial(Slope(0, 1), "generic")).coeffs == [2, -1]
-    assert specialize_parabolic(Poly()).is_zero
+    parabolic = Ring.parse("parabolic")
+    assert parabolic.specialize(farey_polynomial(Slope(1, 2), "generic")).coeffs == [2, 0, 1]
+    assert parabolic.specialize(farey_polynomial(Slope(0, 1), "generic")).coeffs == [2, -1]
+    assert parabolic.specialize(Poly()).is_zero
 
 
 def test_specialize_parabolic_matches_fast_path():
@@ -344,21 +343,21 @@ def test_specialize_parabolic_matches_fast_path():
 
     for s in enumerate_farey(20):
         generic = farey_polynomial(s, "generic")
-        assert specialize_parabolic(generic) == farey_polynomial(s, "parabolic")
+        assert Ring.parse("parabolic").specialize(generic) == farey_polynomial(s, "parabolic")
 
 
 def test_specialize_numeric_examples():
     inf = GeneratorParams(math.inf, math.inf)
     p = farey_polynomial(Slope(1, 2), "generic")
-    numeric = specialize_numeric(p, inf)
-    parabolic = specialize_parabolic(p)
+    numeric = Ring.parse(inf).specialize(p)
+    parabolic = Ring.parse("parabolic").specialize(p)
     for cn, cp in zip(numeric.coeffs, parabolic.coeffs):
         assert abs(cn - cp) < 1e-12
 
     three = GeneratorParams(3, 3)
-    p0 = specialize_numeric(farey_polynomial(Slope(0, 1), "generic"), three)
+    p0 = Ring.parse(three).specialize(farey_polynomial(Slope(0, 1), "generic"))
     assert abs(p0.coeffs[0] - 2) < 1e-12 and abs(p0.coeffs[1] + 1) < 1e-12
-    p1 = specialize_numeric(farey_polynomial(Slope(1, 1), "generic"), three)
+    p1 = Ring.parse(three).specialize(farey_polynomial(Slope(1, 1), "generic"))
     assert abs(p1.coeffs[0] - (-1)) < 1e-12 and abs(p1.coeffs[1] - 1) < 1e-12
 
 
@@ -367,7 +366,7 @@ def test_specialize_numeric_agrees_with_direct_evaluation():
     al, be = params.alpha, params.beta
     for slope in (Slope(1, 3), Slope(2, 5), Slope(3, 8)):
         generic = farey_polynomial(slope, "generic")
-        numeric = specialize_numeric(generic, params)
+        numeric = Ring.parse(params).specialize(generic)
         for z in (0.3 + 0.7j, -1.2 + 0.1j, 2.0 - 2.0j):
             direct = sum(
                 c.evaluate(al, be) * z**k for k, c in enumerate(generic.coeffs)
