@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import benchmark, conjecture, frf, oracle, pleating, serialize
 from .errors import FareySliceError, SingularParameter
-from .rings import GeneratorParams, Ring
+from .rings import Ring
 from .recursion import dynsys_check, farey_polynomial, get_engine, homogeneous_farey_polynomial
 from .slopes import CFExpansion, Slope, enumerate_farey
 from .words import farey_word
@@ -38,23 +38,17 @@ def _parsed(convert, *values):
         raise _UsageError(str(exc)) from exc
 
 
-def _add_ring_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ring", choices=["parabolic", "generic", "numeric"],
-                   default="parabolic")
-    p.add_argument("--a", default="inf", help="cone order of the first generator")
-    p.add_argument("--b", default="inf", help="cone order of the second generator")
+def _add_ring_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ring", default="parabolic",
+                   help="ring label: parabolic (the default), generic, or numeric(a,b) with"
+                        " cone orders a, b each an integer >= 2 or inf, e.g. 'numeric(3,4)'")
 
 
-def _resolve_ring(args) -> Ring:
-    spec = f"numeric({args.a},{args.b})" if args.ring == "numeric" else args.ring
-    return _parsed(Ring.parse, spec)
-
-
-def _root_params(args) -> Optional[GeneratorParams]:
-    ring = _resolve_ring(args)
+def _root_ring(args) -> Ring:
+    ring = _parsed(Ring.parse, args.ring)
     if ring.name == "generic":
         raise _UsageError("root extraction needs a numeric specialisation")
-    return ring.params
+    return ring
 
 
 def _parse_cf(args) -> CFExpansion:
@@ -81,7 +75,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("poly", help="trace polynomial of a slope")
     p.add_argument("--slope", required=True)
-    _add_ring_flags(p)
+    _add_ring_option(p)
     p.add_argument("--out")
 
     p = sub.add_parser("homog", help="homogeneous polynomial of a slope")
@@ -99,7 +93,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("slice", help="root cloud over all small slopes")
     p.add_argument("--qmax", type=int, required=True)
-    _add_ring_flags(p)
+    _add_ring_option(p)
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.add_argument("--out")
 
@@ -108,7 +102,7 @@ def build_parser() -> _Parser:
     p.add_argument("--periodic", type=int, default=0,
                    help="repeat the final N terms forever")
     p.add_argument("--depth", type=int, required=True)
-    _add_ring_flags(p)
+    _add_ring_option(p)
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.add_argument("--out")
 
@@ -141,7 +135,7 @@ def _cmd_word(args) -> int:
 
 def _cmd_poly(args) -> int:
     s = _parsed(Slope.parse, args.slope)
-    ring = _resolve_ring(args)
+    ring = _parsed(Ring.parse, args.ring)
     poly = farey_polynomial(s, ring)
     _emit(serialize.dumps_canonical(serialize.polynomial_payload(s, ring.label, poly)),
           args.out)
@@ -204,14 +198,13 @@ def _root_sets_output(root_sets, args) -> int:
 
 
 def _cmd_slice(args) -> int:
-    return _root_sets_output(pleating.slice_cloud(args.qmax, _root_params(args)), args)
+    return _root_sets_output(pleating.slice_cloud(args.qmax, _root_ring(args)), args)
 
 
 def _cmd_cusp_path(args) -> int:
-    params = _root_params(args)
+    ring = _root_ring(args)
     cf = _parse_cf(args)
-    sets = pleating.irrational_cusp_path(cf, args.depth, params)
-    return _root_sets_output(sets, args)
+    return _root_sets_output(pleating.irrational_cusp_path(cf, args.depth, ring), args)
 
 
 def _cmd_conjecture(args) -> int:

@@ -46,7 +46,8 @@ import numpy as np
 
 from .errors import DegreeOverflow, FormalVertex
 from .recursion import get_engine
-from .rings import GeneratorParams, Laurent2, Poly, Ring, _exact_evaluator, _over_power_of_two
+from .rings import (GeneratorParams, Laurent2, Poly, Ring, RingSpec, _exact_evaluator,
+                    _over_power_of_two)
 from .slopes import CFExpansion, Slope, _mediant_walk, enumerate_farey
 from .words import farey_exponents
 
@@ -364,16 +365,19 @@ _MIRRORS: dict[Slope, RootSet] = {}
 _MIRRORS_LOCK = threading.Lock()
 
 
-def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootSet:
-    """All roots of the slope's trace polynomial shifted by +2.
+def cusp_candidates(s: Slope, ring: Optional[RingSpec] = None) -> RootSet:
+    """All roots of the slope's trace polynomial shifted by +2, in ``ring``:
+    any spec ``Ring.parse`` accepts, None the parabolic ring.  The generic
+    ring has no roots to find, and raises ``ValueError``.
 
     These approximate the boundary of the (parabolic or cone-angle)
     slice; which of them are genuine cusp points is an open question.
     The roots are the transfer matrix's reciprocal eigenvalues after one
     Newton correction by the triangle recursion, and at orders (2, 2) a
     closed form (``_extract``); no set runs the Aberth loop.  Every set
-    lists its roots sorted by (round(re, 12), round(im, 12)), and a
-    parabolic set is exactly closed under conjugation.
+    lists its roots sorted by (round(re, 12), round(im, 12)).  A parabolic
+    set is exactly closed under conjugation; a ``numeric(inf,inf)`` set,
+    from a complex G with no mirror step, to double resolution.
 
     In the parabolic ring the slope map p/q -> (q - p)/q swaps the seeds
     2 - z and 2 + z and fixes 1/0 and the constant 8, so
@@ -384,7 +388,9 @@ def cusp_candidates(s: Slope, params: Optional[GeneratorParams] = None) -> RootS
     """
     if s.is_infinite:
         raise FormalVertex("1/0 has no root locus")
-    ring = Ring.parse("parabolic" if params is None or params.is_parabolic else params)
+    ring = Ring.parse("parabolic" if ring is None else ring)
+    if ring.name == "generic":
+        raise ValueError("the generic ring has no roots to find")
     if ring.name != "parabolic" or 2 * s.p == s.q:
         return _extract(s, ring)
     with _MIRRORS_LOCK:
@@ -532,28 +538,28 @@ def _mirrored(rs: RootSet) -> RootSet:
     )
 
 
-def slice_cloud(q_max: int, params: Optional[GeneratorParams] = None) -> list[RootSet]:
-    """Root sets for every slope with denominator up to q_max.
+def slice_cloud(q_max: int, ring: Optional[RingSpec] = None) -> list[RootSet]:
+    """Root sets in ``ring`` for every slope with denominator up to q_max.
 
     Deterministic (q, p) order.  The polynomial cache is shared, so the
     whole cloud costs one recursion pass plus one root extraction per
     slope in a cone ring, and per mirror pair p/q, (q - p)/q in the
     parabolic ring (see ``cusp_candidates``).
     """
-    return [cusp_candidates(s, params) for s in enumerate_farey(q_max)]
+    return [cusp_candidates(s, ring) for s in enumerate_farey(q_max)]
 
 
 def irrational_cusp_path(
-    cf: CFExpansion, depth: int, params: Optional[GeneratorParams] = None
+    cf: CFExpansion, depth: int, ring: Optional[RingSpec] = None
 ) -> list[RootSet]:
-    """Root sets along the convergents of a continued fraction.
+    """Root sets in ``ring`` along the convergents of a continued fraction.
 
     Polynomials come from the fan walk (one multiplication per mediant,
     no matrix products); only the ``depth`` true convergents are root-
     solved.
     """
     convergents = (s for s, is_conv in _mediant_walk(cf) if is_conv)
-    return [cusp_candidates(s, params) for s in islice(convergents, max(depth, 0))]
+    return [cusp_candidates(s, ring) for s in islice(convergents, max(depth, 0))]
 
 
 def extremal_root_heuristic(rs: RootSet) -> complex:

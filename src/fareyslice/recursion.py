@@ -146,7 +146,8 @@ class FareyPolynomialEngine:
         return descend(values, s, step)
 
     def cached_slopes(self) -> list[Slope]:
-        return [Slope(p, q) for p, q in self._cache]
+        with self._lock:  # ``polynomial`` inserts under it
+            return [Slope(p, q) for p, q in self._cache]
 
 
 _ENGINES: dict = {}

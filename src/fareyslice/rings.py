@@ -10,7 +10,8 @@ Two layers live here:
 
 Every value is immutable in practice (nothing mutates after construction)
 and all operations are pure.  ``Poly`` multiplications are counted in a
-module-level tally so benchmark code can report exact operation counts.
+module-level tally, never reset, whose deltas give benchmark code exact
+operation counts.
 
 A ``Poly`` product over ``Laurent2`` is one CPython big-int product by
 Kronecker substitution (Schoenhage 1982; Harvey 2009), in the slot
@@ -49,7 +50,6 @@ __all__ = [
     "poly_sqrt_exact",
     "is_perfect_square",
     "poly_mul_count",
-    "reset_poly_mul_count",
 ]
 
 _POLY_MULS = 0
@@ -57,11 +57,6 @@ _POLY_MULS = 0
 
 def poly_mul_count() -> int:
     return _POLY_MULS
-
-
-def reset_poly_mul_count() -> None:
-    global _POLY_MULS
-    _POLY_MULS = 0
 
 
 class Laurent2:
@@ -571,10 +566,6 @@ class GeneratorParams:
                 raise ValueError("orders must be integers >= 2 or inf")
 
     @property
-    def is_parabolic(self) -> bool:
-        return self.a == math.inf and self.b == math.inf
-
-    @property
     def alpha(self) -> complex:
         return 1.0 + 0.0j if self.a == math.inf else cmath.exp(1j * math.pi / self.a)
 
@@ -592,12 +583,13 @@ class GeneratorParams:
 class Ring:
     """The coefficient ring of a computation: generic, parabolic or numeric.
 
-    This is the one place that parses a ring spec and the one map out of
-    the generic ring: ``coeff`` takes a generic coefficient to the ring's
-    scalar, and ``specialize`` a generic polynomial to the ring's.  Equal
-    specs give equal (hashable) values; the parabolic ring (int
+    This is the one place that parses a ring spec (a command line's
+    ``--ring`` and a serialised polynomial's ``ring`` too) and the one map
+    out of the generic ring: ``coeff`` takes a generic coefficient to the
+    ring's scalar, and ``specialize`` a generic polynomial to the ring's.
+    Equal specs give equal (hashable) values; the parabolic ring (int
     coefficients) and numeric ``GeneratorParams(inf, inf)`` (complex
-    coefficients) differ.
+    coefficients) differ, in ``pleating`` as everywhere else.
     """
 
     name: str
@@ -605,7 +597,9 @@ class Ring:
 
     @classmethod
     def parse(cls, spec: "RingSpec") -> "Ring":
-        """A Ring from "generic", "parabolic", GeneratorParams or a label."""
+        """A Ring from a Ring, GeneratorParams or a label: "generic",
+        "parabolic" or "numeric(a,b)", each cone order an integer >= 2 or
+        inf (or oo).  Anything else raises ``ValueError``."""
         if isinstance(spec, Ring):
             return spec
         if isinstance(spec, GeneratorParams):
@@ -616,7 +610,8 @@ class Ring:
         if m:
             a, b = (math.inf if t in ("inf", "oo") else int(t) for t in m.groups())
             return cls("numeric", GeneratorParams(a, b))
-        raise ValueError(f"unknown ring {spec!r}")
+        raise ValueError(f"unknown ring {spec!r}: expected 'parabolic', 'generic' or"
+                         " 'numeric(a,b)' with cone orders a, b integers >= 2 or inf")
 
     def coeff(self, x: Laurent2 | int):
         """The value of a generic coefficient in this ring.  A plain int is

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fareyslice import pleating
+from fareyslice import GeneratorParams, Slope, farey_polynomial, pleating, serialize
 from fareyslice.cli import main
 
 
@@ -33,13 +33,21 @@ def test_poly_command(capsys):
 
 
 def test_poly_numeric(capsys):
-    code, out, _ = run(
-        capsys, "poly", "--slope", "1/2", "--ring", "numeric", "--a", "3", "--b", "3"
-    )
+    code, out, _ = run(capsys, "poly", "--slope", "1/2", "--ring", "numeric(3,3)")
     assert code == 0
     data = json.loads(out)
     assert data["ring"] == "numeric(3,3)"
     assert len(data["coeffs"]) == 3
+    # The label written is the label read back.
+    slope, label, poly = serialize.parse_polynomial(out)
+    assert (slope, label) == (Slope(1, 2), "numeric(3,3)")
+    assert poly == farey_polynomial(Slope(1, 2), GeneratorParams(3, 3))
+
+
+def test_slice_takes_a_numeric_ring_label(capsys):
+    code, out, _ = run(capsys, "slice", "--qmax", "8", "--ring", "numeric(3,4)")
+    assert code == 0
+    assert out == serialize.roots_csv(pleating.slice_cloud(8, GeneratorParams(3, 4)))
 
 
 def test_homog_command(capsys):
@@ -141,6 +149,7 @@ def test_usage_errors(capsys):
     assert main(["nonsense"]) == 1
     assert main(["word", "--slope", "abc"]) == 1
     assert main(["slice", "--qmax", "3", "--ring", "generic"]) == 1
+    assert main(["cusp-path", "--cf", "0,1", "--depth", "2", "--ring", "generic"]) == 1
 
 
 def test_errors_inside_a_computation_exit_2(capsys):
@@ -178,11 +187,20 @@ def test_unconverged_root_sets_exit_2(capsys, monkeypatch):
         ["poly", "--slope", "5/3"],
         ["cusp-path", "--cf", "0,a", "--depth", "2"],
         ["cusp-path", "--cf", "0,-1", "--depth", "2"],
-        ["poly", "--slope", "1/2", "--ring", "numeric", "--a", "1"],
+        ["poly", "--slope", "1/2", "--ring", "numeric(1,3)"],
+        ["poly", "--slope", "1/2", "--ring", "numeric"],
+        ["slice", "--qmax", "3", "--ring", "foo"],
+        ["poly", "--slope", "1/2", "--ring", "parabolic", "--a", "3"],
     ],
     ids=["slice-tol", "cusp-path-tol", "complex", "slope-domain", "cf-int", "cf-terms",
-         "cone-order"],
+         "cone-order", "ring-without-orders", "ring-unknown", "cone-order-flag"],
 )
 def test_arguments_that_do_not_parse_exit_1(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 1 and "usage error" in err
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "usage error" in err and out == ""
+
+
+def test_an_unknown_ring_label_names_the_accepted_forms(capsys):
+    code, _, err = run(capsys, "poly", "--slope", "1/2", "--ring", "foo")
+    assert code == 1
+    assert "unknown ring 'foo'" in err and "'numeric(a,b)'" in err

@@ -18,7 +18,7 @@ from fareyslice import (
     enumerate_farey,
     farey_polynomial,
 )
-from fareyslice import oracle, pleating, recursion, rings
+from fareyslice import oracle, pleating, recursion, rings, serialize
 from fareyslice.errors import DegreeOverflow
 from fareyslice.words import farey_exponents
 
@@ -588,6 +588,43 @@ def test_slice_cloud_elliptic_forward_checks():
     params = GeneratorParams(3, 4)
     for rs in pleating.slice_cloud(20, params):
         assert_root_set_properties(rs, farey_polynomial(rs.slope, params).coeffs)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [None, "parabolic", rings.Ring.parse("parabolic")],
+        [GeneratorParams(3, 4), "numeric(3,4)", rings.Ring.parse("numeric(3,4)")],
+    ],
+    ids=["parabolic", "numeric(3,4)"],
+)
+def test_equal_ring_specs_give_the_same_cloud(specs, no_mirrors):
+    texts = [serialize.roots_csv(pleating.slice_cloud(16, spec)) for spec in specs]
+    assert texts[1:] == texts[:1] * 2
+
+
+def test_cusp_candidates_rejects_the_generic_ring():
+    with pytest.raises(ValueError, match="generic ring"):
+        pleating.cusp_candidates(S("1/3"), "generic")
+
+
+def test_numeric_inf_inf_is_not_the_parabolic_ring(no_mirrors):
+    # At alpha = beta = 1 the numeric ring has the parabolic trace values
+    # in complex coefficients.  Its sets come from the complex transfer
+    # matrix, with no closure or mirror step, and still meet criterion 11:
+    # q roots, converged, conjugate-closed to 1e-8, each root within 1e-12
+    # relative of a distinct root of the parabolic set.
+    cone = GeneratorParams(math.inf, math.inf)
+    for rs in pleating.slice_cloud(40, cone):
+        s, z = rs.slope, np.array(rs.roots)
+        assert rs.ring == "numeric(inf,inf)"
+        assert len(z) == s.q and rs.converged, s
+        assert np.abs(z.conjugate()[:, None] - z[None, :]).min(axis=1).max() < 1e-8, s
+        want = np.array(pleating.cusp_candidates(s).roots)
+        dist = np.abs(z[:, None] - want[None, :])
+        nearest = dist.argmin(axis=1)
+        assert len(set(nearest.tolist())) == s.q, s
+        assert np.all(dist.min(axis=1) <= 1e-12 * np.maximum(1.0, np.abs(want[nearest]))), s
 
 
 def test_cusp_candidates_forward_accurate_up_to_40():

@@ -28,7 +28,7 @@ from fareyslice import (
 )
 from fareyslice import frf, oracle, recursion
 from fareyslice.recursion import FareyPolynomialEngine
-from fareyslice.rings import Ring, poly_mul_count, reset_poly_mul_count
+from fareyslice.rings import Ring, poly_mul_count
 from fareyslice.slopes import INFINITY, ONE, ZERO
 
 from golden_data import FIBONACCI_POLYS, GENERIC_POLYS, HOMOGENEOUS_POLYS
@@ -260,12 +260,10 @@ def _fresh_descent(kind, monkeypatch):
 )
 def test_fan_walk_multiplication_count(kind, monkeypatch):
     cache, compute = _fresh_descent(kind, monkeypatch)
-    before = len(cache)
-    reset_poly_mul_count()
+    before, muls = len(cache), poly_mul_count()
     compute(S("13/21"))
     # One multiplication per uncached slope on the Fibonacci chain.
-    assert poly_mul_count() == len(cache) - before == 6
-    reset_poly_mul_count()
+    assert poly_mul_count() - muls == len(cache) - before == 6
 
 
 @pytest.mark.parametrize("ring", ["parabolic", GeneratorParams(3, 4)], ids=["parabolic", "numeric(3,4)"])
@@ -349,3 +347,21 @@ def test_concurrent_engines_agree_with_oracle(monkeypatch):
         for s, got_engine, poly in rows:
             assert got_engine is engine
             assert poly == want[s], s
+
+
+def test_cached_slopes_reads_the_cache_under_the_lock():
+    # While another thread holds the lock (as ``polynomial`` does while it
+    # inserts), ``cached_slopes`` waits instead of iterating a dict that
+    # may change size; once the lock is free it returns every slope.
+    engine = FareyPolynomialEngine("parabolic")
+    engine.polynomial(S("3/7"))
+    want = sorted(engine._cache)
+    got = []
+    with engine._lock:
+        worker = threading.Thread(target=lambda: got.append(engine.cached_slopes()))
+        worker.start()
+        worker.join(0.2)
+        assert worker.is_alive() and not got
+    worker.join(60)
+    assert not worker.is_alive()
+    assert sorted((s.p, s.q) for s in got[0]) == want
