@@ -18,11 +18,10 @@ for q in (0, 1, 2, 5, 12, 30):
 print("\nperiodic fan values at small integer parameters:")
 for z0 in (1, 2, 3):
     period = frf.detect_cycle(z0, 10)
-    vals = [frf.left_sequence(z0, q, a0=2, a1=2 + z0, constant=0)
-            for q in range(1, 1 + 2 * period)]
+    vals = [frf.left_sequence(z0, q, constant=0) for q in range(1, 1 + 2 * period)]
     print(f"  z={z0}: period {period}, values {vals[:period]} repeating")
 print("  z=4: no cycle, arithmetic steps of 4:",
-      [frf.left_sequence(4, q, a0=2, a1=6, constant=0) for q in range(6)])
+      [frf.left_sequence(4, q, constant=0) for q in range(6)])
 
 print("\nthe 1/q fan against 2 T_q(x) + 4 U_(q-1)(x), x = (z - 2)/2:")
 ok = all(frf.chebyshev_match(q, 2.7) for q in range(25))

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass
 
 from . import oracle
+from .errors import RouteMismatch
 from .recursion import FareyPolynomialEngine
 from .rings import poly_mul_count
 from .slopes import CFExpansion, Slope, semiconvergent_path
@@ -96,7 +97,7 @@ def _gate(path_kind: str) -> int:
         slopes = [s for s in semiconvergent_path(golden, 6)]
     for s in slopes:
         if engine.polynomial(s) != oracle.farey_polynomial(s, "generic"):
-            raise AssertionError(f"oracle and recursion disagree at {s}")
+            raise RouteMismatch(f"oracle and recursion disagree at {s}")
         checked += 1
     return checked
 
@@ -120,7 +121,7 @@ def run_benchmark(path_kind: str, size: int) -> BenchReport:
     rec_mults, orc_mults = m1 - m0, poly_mul_count() - m1
 
     if via_matrices != via_recursion:
-        raise AssertionError(f"methods disagree at {target}")
+        raise RouteMismatch(f"methods disagree at {target}")
 
     return BenchReport(
         path_kind=path_kind,

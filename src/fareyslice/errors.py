@@ -42,5 +42,9 @@ class DegreeOverflow(FareySliceError):
     exceed double range; root finding would be meaningless."""
 
 
+class RouteMismatch(FareySliceError):
+    """Two independent routes to the same trace polynomial disagree."""
+
+
 class NotASquare(FareySliceError):
     """An integer expected to be a perfect square was not."""

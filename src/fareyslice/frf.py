@@ -171,20 +171,18 @@ def closed_form_homog_left(z: complex, q: int, a0: complex, a1: complex) -> comp
     return _diagonalised(z - 2, cmath.sqrt(z * z - 4 * z), q, a0, a1)
 
 
-def left_sequence(z, q: int, a0=2, a1=None, constant=8):
-    """Exact fan values by direct recurrence; the fallback path.
+def left_sequence(z, q: int, constant=8):
+    """Exact fan values by direct recurrence from the trace seeds 2 and
+    2 + z; the fallback path.
 
-    With the default seeds this is the parabolic trace value at 1/q; pass
-    ``constant=0`` for the homogeneous family.  Works over any ring the
-    inputs live in (ints stay exact).
+    This is the parabolic trace value at 1/q; pass ``constant=0`` for the
+    homogeneous family.  Works over any ring z lives in (ints stay exact).
     """
     if q < 0:
         raise ValueError("q must be >= 0")
-    if a1 is None:
-        a1 = 2 + z
-    cur, prev = a1, a0
     if q == 0:
-        return a0
+        return 2
+    cur, prev = 2 + z, 2
     for _ in range(q - 1):
         cur, prev = constant - (2 - z) * cur - prev, cur
     return cur
@@ -247,7 +245,7 @@ def chebyshev_match(q: int, z: complex) -> bool:
     if q:
         rhs = rhs + _chebyshev(q - 1, Poly([0, 2])).scale(4)
     w = _exact_evaluator(rhs.coeffs)(np.array([(complex(z) - 2) / 2]))[0][0] if q else 2
-    lhs = complex(left_sequence(z, q, a0=2, a1=2 + z, constant=0))
+    lhs = complex(left_sequence(z, q, constant=0))
     scale = max(1.0, abs(lhs))
     return abs(lhs - w) <= _CHEBYSHEV_TOL * scale
 
@@ -258,7 +256,7 @@ def detect_cycle(z, max_period: int) -> Optional[int]:
     Exact integer arithmetic when z is an integer; complex values compare
     with a relative tolerance.
     """
-    seq = [left_sequence(z, k, 2, 2 + z, 0) for k in range(3 * max_period + 14)]
+    seq = [left_sequence(z, k, constant=0) for k in range(3 * max_period + 14)]
     exact = isinstance(z, int)
 
     def same(u, v):

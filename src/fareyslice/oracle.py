@@ -47,10 +47,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .errors import FormalVertex, NotNeighbours
+from .errors import FormalVertex
 from .rings import Laurent2, Poly, Ring, RingSpec, Slots
-from .slopes import Slope, is_neighbor
-from .words import Letter, Word, farey_word
+from .slopes import Slope
+from .words import Letter, Word, _check_pair, farey_word
 
 __all__ = [
     "Mat2",
@@ -235,15 +235,6 @@ def trace_quotient(a: Slope, b: Slope, ring: RingSpec = "generic") -> Poly:
     """Trace of W(a) * W(b)^-1 for a neighbour pair a < b."""
     _check_pair(a, b)
     return word_matrix(farey_word(a) * farey_word(b).inverse(), ring).trace
-
-
-def _check_pair(a: Slope, b: Slope) -> None:
-    if not is_neighbor(a, b):
-        raise NotNeighbours(f"{a} and {b} are not Farey neighbours")
-    if not a < b:
-        raise NotNeighbours(f"expected {a} < {b}")
-    if a.is_infinite or b.is_infinite:
-        raise FormalVertex("1/0 has no Farey word")
 
 
 def _const(ring: RingSpec, generic: Laurent2) -> Poly:

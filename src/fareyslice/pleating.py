@@ -16,15 +16,9 @@ p/q, (q - p)/q only the lower slope is solved; the other set is its
 negation (``cusp_candidates``).
 
 At orders (2, 2), where P = +-2 T_q((z - 2) / 2), the roots are in
-closed form (``_extract``).  For any other polynomial (``roots``), an
-Aberth-Ehrlich simultaneous iteration over complex doubles finds the
-roots (Aberth 1973, Ehrlich 1967).  It evaluates the exact coefficients
-at each double point in Python ints and rounds P and P' once
-(``rings._exact_evaluator``), where double Horner on the expanded
-coefficients would be noise-bound.  The iteration starts from the
-companion-matrix eigenvalues of the coefficients, Taylor-shifted exactly
-to the root centroid first, which it only polishes; ``all_roots`` states
-its restart rule.
+closed form (``_extract``).  ``all_roots`` keeps an Aberth-Ehrlich
+simultaneous iteration for any dense polynomial (Aberth 1973, Ehrlich
+1967); no root set of this module runs it.
 
 Every route has the double coefficients probe the largest root's circle
 for overflow (``_probe_overflow``) and then score the result
@@ -46,7 +40,7 @@ import numpy as np
 
 from .errors import DegreeOverflow, FormalVertex
 from .recursion import get_engine
-from .rings import (GeneratorParams, Laurent2, Poly, Ring, RingSpec, _exact_evaluator,
+from .rings import (GeneratorParams, Poly, Ring, RingSpec, _exact_evaluator,
                     _over_power_of_two)
 from .slopes import CFExpansion, Slope, _mediant_walk, enumerate_farey
 from .words import farey_exponents
@@ -54,7 +48,6 @@ from .words import farey_exponents
 __all__ = [
     "RootSet",
     "all_roots",
-    "roots",
     "cusp_candidates",
     "slice_cloud",
     "irrational_cusp_path",
@@ -64,14 +57,14 @@ __all__ = [
 
 @dataclass
 class RootSet:
-    """All complex roots of one shifted trace polynomial.
+    """All complex roots of one slope's shifted trace polynomial P + 2.
 
     ``residuals`` are backward-error scaled; ``converged`` is True
     exactly when every residual is below 1e-10 (or there are no roots).
     Unconverged roots are reported anyway and flagged.
     """
 
-    slope: Optional[Slope]
+    slope: Slope
     ring: str
     roots: list[complex]
     residuals: list[float]
@@ -203,6 +196,15 @@ def all_roots(coeffs: list[complex]) -> tuple[list[complex], list[float], bool]:
     polish.  Exact zero roots
     are split off first.  Returns (roots, scaled residuals, converged),
     where converged means the worst scaled residual is below 1e-10.
+
+    Residuals and ``converged`` measure backward error against the
+    coefficients as given: a cone ring's P + 2 has complex-double
+    coefficients, already rounded, and at numeric(3,4) 369 of the 491
+    sets with q <= 40 lie more than 1e-8 relative from the transfer-matrix
+    roots or put two roots nearest one (worst 0.61 at 14/37), every one
+    flagged converged.  For a Farey polynomial use ``cusp_candidates``.
+    No module of the package calls this loop; its one caller outside the
+    tests is the benchmark harness's ``pleating.double_only`` probe.
     """
     exact = list(coeffs)
     cs = _double_coefficients(exact)
@@ -342,22 +344,6 @@ def _order_key(x: np.ndarray) -> np.ndarray:
     return key
 
 
-def roots(p: Poly, slope: Optional[Slope] = None, ring: str = "parabolic") -> RootSet:
-    """Root set of an arbitrary polynomial with int or double coefficients.
-
-    ``all_roots`` evaluates the coefficients exactly, ints past 2**53
-    included, so nothing is lost to a double conversion.  But residuals
-    and ``converged`` measure backward error against the coefficients as
-    given: a cone ring's P + 2 has complex-double coefficients, already
-    rounded, and at numeric(3,4) 369 of the 491 sets with q <= 40 lie
-    more than 1e-8 relative from the transfer-matrix roots or put two
-    roots nearest one (worst 0.61 at 14/37), every one flagged converged.
-    For a Farey polynomial use ``cusp_candidates``.
-    """
-    rs, res, ok = all_roots(p.coeffs)
-    return RootSet(slope=slope, ring=ring, roots=rs, residuals=res, converged=ok)
-
-
 # Parabolic root sets waiting for their request: extracting either slope
 # of a mirror pair p/q, (q - p)/q builds both sets (``cusp_candidates``),
 # and the one not asked for is kept here until it is, then dropped.
@@ -436,7 +422,7 @@ def _extract(s: Slope, ring: Ring) -> RootSet:
     exact integers past 2**53 may round to doubles.
     """
     engine = get_engine(ring)
-    two = ring.coeff(Laurent2.const(2))
+    two = ring.coeff(2)
     coeffs = (engine.polynomial(s) + Poly([two])).coeffs
     c = np.array(_double_coefficients(coeffs))
     if ring == _INVOLUTION_RING:

@@ -70,8 +70,7 @@ def parse_polynomial(text: str) -> tuple[Optional[Slope], str, Poly]:
 def roots_csv(root_sets: Iterable[RootSet]) -> str:
     lines = ["re,im,p,q,residual"]
     for rs in root_sets:
-        p = rs.slope.p if rs.slope else ""
-        q = rs.slope.q if rs.slope else ""
+        p, q = rs.slope.p, rs.slope.q
         for z, r in zip(rs.roots, rs.residuals):
             lines.append(f"{z.real!r},{z.imag!r},{p},{q},{r!r}")
     return "\n".join(lines) + "\n"

@@ -96,18 +96,23 @@ def farey_word(s: Slope) -> Word:
     return Word(tuple(_LETTERS[i & 1][e] for i, e in enumerate(farey_exponents(s), 1)))
 
 
-def concat_flip(a: Slope, b: Slope) -> Word:
-    """Concatenate the words of neighbours a < b and flip one exponent.
-
-    The letter at position q_a + q_b changes sign; the result equals the
-    Farey word of the mediant.
-    """
+def _check_pair(a: Slope, b: Slope) -> None:
+    """Reject a pair that is not finite Farey neighbours a < b."""
     if not is_neighbor(a, b):
         raise NotNeighbours(f"{a} and {b} are not Farey neighbours")
     if a.is_infinite or b.is_infinite:
         raise FormalVertex("1/0 has no Farey word")
     if not a < b:
         raise NotNeighbours(f"expected {a} < {b}")
+
+
+def concat_flip(a: Slope, b: Slope) -> Word:
+    """Concatenate the words of neighbours a < b and flip one exponent.
+
+    The letter at position q_a + q_b changes sign; the result equals the
+    Farey word of the mediant.
+    """
+    _check_pair(a, b)
     joined = list((farey_word(a) * farey_word(b)).letters)
     flip = a.q + b.q - 1
     joined[flip] = joined[flip].inverse()

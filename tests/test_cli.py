@@ -1,8 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from fareyslice import GeneratorParams, Slope, farey_polynomial, pleating, serialize
+from fareyslice import GeneratorParams, Poly, Slope, farey_polynomial, oracle, pleating, serialize
 from fareyslice.cli import main
 
 
@@ -144,6 +145,21 @@ def test_bench_rejects_sizes_below_one(capsys, size):
     assert "computation failed" in err and f"got {size}" in err
 
 
+def test_bench_mismatch_exits_2(capsys, monkeypatch):
+    # A parabolic word-matrix trace off by 1: the benchmark's two routes
+    # disagree at the target, which is a computational failure.
+    word_matrix = oracle.word_matrix
+
+    def off_by_one(word, ring):
+        m = word_matrix(word, ring)
+        return SimpleNamespace(trace=m.trace + Poly([1])) if ring == "parabolic" else m
+
+    monkeypatch.setattr(oracle, "word_matrix", off_by_one)
+    code, out, err = run(capsys, "bench", "--path", "fibonacci", "--size", "5")
+    assert code == 2 and out == ""
+    assert "computation failed" in err and "disagree at 3/5" in err
+
+
 def test_usage_errors(capsys):
     assert main(["word"]) == 1
     assert main(["nonsense"]) == 1
@@ -167,7 +183,7 @@ def test_errors_inside_a_computation_exit_2(capsys):
 def test_unconverged_root_sets_exit_2(capsys, monkeypatch):
     # Both commands still write the roots, then exit 2 naming the count
     # of unconverged sets and the worst residual.
-    stuck = pleating.RootSet(slope=None, ring="parabolic", roots=[1j, -1j],
+    stuck = pleating.RootSet(slope=Slope(1, 2), ring="parabolic", roots=[1j, -1j],
                              residuals=[1e-12, 3e-6], converged=False)
     monkeypatch.setattr(pleating, "slice_cloud", lambda *args: [stuck])
     monkeypatch.setattr(pleating, "irrational_cusp_path", lambda *args: [stuck])

@@ -150,13 +150,13 @@ def test_closed_form_homog_left():
     with pytest.raises(SingularParameter):
         frf.closed_form_homog_left(4, 3, 2, 6)
     # the fallback recurrence at z=4 is arithmetic with step 4
-    values = [frf.left_sequence(4, q, a0=2, a1=6, constant=0) for q in range(6)]
+    values = [frf.left_sequence(4, q, constant=0) for q in range(6)]
     assert values == [2, 6, 10, 14, 18, 22]
 
 
 def test_homogeneous_cycles():
     # periodic fan values at small integer parameters
-    seq1 = [frf.left_sequence(1, q, a0=2, a1=3, constant=0) for q in range(1, 10)]
+    seq1 = [frf.left_sequence(1, q, constant=0) for q in range(1, 10)]
     assert seq1[:3] == [3, -5, 2] and seq1[3:6] == [3, -5, 2]
     assert frf.detect_cycle(1, 8) == 3
     assert frf.detect_cycle(2, 8) == 4
@@ -170,7 +170,7 @@ def test_homogeneous_cycles():
 
 
 def test_homogeneous_fibonacci_like_at_five():
-    vals = [frf.left_sequence(5, q, a0=2, a1=7, constant=0) for q in range(1, 31)]
+    vals = [frf.left_sequence(5, q, constant=0) for q in range(1, 31)]
     assert vals[0] == 7 and vals[1] == 19
     for i in range(2, len(vals)):
         assert vals[i] == 3 * vals[i - 1] - vals[i - 2]
@@ -247,8 +247,13 @@ def test_fan_polynomial_is_a_chebyshev_sum():
 def test_chebyshev_match_fails_from_a_wrong_seed(monkeypatch):
     # Started at 3 + z instead of 2 + z, the fan sequence is off by
     # U_(q-1)(x), which vanishes at no q >= 1 for this z.
-    fan = frf.left_sequence
-    monkeypatch.setattr(frf, "left_sequence", lambda z, q, a0, a1, constant: fan(z, q, a0, a1 + 1, constant))
+    def wrong_seed(z, q, constant=8):
+        cur, prev = 3 + z, 2
+        for _ in range(q - 1):
+            cur, prev = constant - (2 - z) * cur - prev, cur
+        return cur if q else prev
+
+    monkeypatch.setattr(frf, "left_sequence", wrong_seed)
     assert frf.chebyshev_match(0, 1.5 + 0.5j)
     assert not any(frf.chebyshev_match(q, 1.5 + 0.5j) for q in range(1, 31))
 

@@ -1,5 +1,6 @@
 import ast
 import decimal
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +15,7 @@ from fareyslice import (
     Poly,
     Slope,
     Word,
+    concat_flip,
     enumerate_farey,
     farey_word,
     mediant,
@@ -288,6 +290,20 @@ def test_trace_product_rejections():
         oracle.trace_product(S("1/3"), S("3/7"))
     with pytest.raises(NotNeighbours):
         oracle.trace_product(S("2/5"), S("1/3"))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [("1/3", "3/7"), ("1/1", "1/2"), ("2/5", "1/3"), ("0/1", "1/0"), ("1/0", "0/1"), ("1/0", "1/1")],
+)
+def test_pair_rejections_match_concat_flip(a, b):
+    # One pair check serves the word product rule and the trace identities:
+    # each rejected pair raises the same exception, with the same message.
+    with pytest.raises((NotNeighbours, FormalVertex)) as want:
+        concat_flip(S(a), S(b))
+    for entry in (oracle.trace_product, oracle.trace_quotient):
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            entry(S(a), S(b))
 
 
 def test_oracle_imports_none_of_the_routes_it_checks():

@@ -42,18 +42,18 @@ def S(text):
 
 
 def test_roots_simple_polynomials():
-    rs = pleating.roots(Poly([4, 0, 1]))
-    assert sorted((round(z.real, 9), round(z.imag, 9)) for z in rs.roots) == [
+    found, residuals, _ = pleating.all_roots(Poly([4, 0, 1]).coeffs)
+    assert sorted((round(z.real, 9), round(z.imag, 9)) for z in found) == [
         (0, -2), (0, 2),
     ]
-    assert max(rs.residuals) < 1e-12
-    rs = pleating.roots(Poly([4, -1]))
-    assert abs(rs.roots[0] - 4) < 1e-12
+    assert max(residuals) < 1e-12
+    found, _, _ = pleating.all_roots(Poly([4, -1]).coeffs)
+    assert abs(found[0] - 4) < 1e-12
 
 
 def test_roots_with_zero_roots_deflated():
-    rs = pleating.roots(Poly([0, 0, -1, 1]))  # z^2 (z - 1)
-    assert sorted(round(abs(z), 9) for z in rs.roots) == [0.0, 0.0, 1.0]
+    found, _, _ = pleating.all_roots(Poly([0, 0, -1, 1]).coeffs)  # z^2 (z - 1)
+    assert sorted(round(abs(z), 9) for z in found) == [0.0, 0.0, 1.0]
 
 
 def test_roots_rejects_overflowing_coefficients():
@@ -108,9 +108,9 @@ def test_initial_guesses_of_double_copies_equal_those_of_ints():
 
 
 def test_roots_of_modulus_1e_6_are_resolved():
-    rs = pleating.roots(Poly([1e-12, 0, 1]))
-    assert rs.roots == pytest.approx([-1e-6j, 1e-6j], rel=1e-15)
-    assert max(rs.residuals) < 1e-15 and rs.converged
+    found, residuals, converged = pleating.all_roots(Poly([1e-12, 0, 1]).coeffs)
+    assert found == pytest.approx([-1e-6j, 1e-6j], rel=1e-15)
+    assert max(residuals) < 1e-15 and converged
     # Both roots of modulus 1e-10 round to 0 in the sort key, so they are
     # compared in order of Im.
     found, residuals, converged = pleating.all_roots([1e-20, 0, 1])
@@ -175,8 +175,8 @@ def test_cusp_candidates_past_q_128(s):
 def test_roots_of_a_double_root():
     # (z - 2)^2: the two equal eigenvalues start apart, so the Aberth sums
     # never divide by zero (RuntimeWarnings are errors under pytest).
-    rs = pleating.roots(Poly([4, -4, 1]))
-    assert len(rs.roots) == 2 and all(abs(z - 2) < 1e-6 for z in rs.roots)
+    found, _, _ = pleating.all_roots(Poly([4, -4, 1]).coeffs)
+    assert len(found) == 2 and all(abs(z - 2) < 1e-6 for z in found)
 
 
 def test_taylor_shift_is_exact_on_ints():
@@ -186,7 +186,7 @@ def test_taylor_shift_is_exact_on_ints():
     assert pleating._taylor_shift([5, -2, 7], 0) == [5, -2, 7]
 
 
-# roots(p) on the expanded coefficients against the recursion-evaluated
+# all_roots on the expanded coefficients against the recursion-evaluated
 # roots.  1/24: about z = 0 the companion guesses of P + 2 were wrong
 # enough that double Horner polishing sent two of them to one root.  1/44
 # and 2/49 have coefficients past 2**53; double Horner froze particles at
@@ -195,7 +195,7 @@ def test_taylor_shift_is_exact_on_ints():
 def test_roots_finds_the_recursion_roots(s):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        found = np.array(pleating.roots(farey_polynomial(s) + Poly([2]), s).roots)
+        found = np.array(pleating.all_roots((farey_polynomial(s) + Poly([2])).coeffs)[0])
     accurate = np.array(pleating.cusp_candidates(s).roots)
     dist = np.abs(found[:, None] - accurate[None, :])
     assert len(set(dist.argmin(axis=1).tolist())) == len(found) == s.q
@@ -372,22 +372,46 @@ def test_transfer_matrix_determinant_in_every_ring(params):
             assert err < 1e-12, (s, z, err)
 
 
-# The eigenvalue route against the Aberth loop of ``roots`` on P + 2,
-# root for root.  The parabolic coefficients are exact ints (measured
-# worst 2.0e-15 relative for q <= 24).  The numeric(3,4) ones are complex
-# doubles whose rounding moves their roots more as q grows, from 4.4e-14
-# at q = 7 to 1.1e-8 at 1/16: that bound is the coefficients', not the
-# eigenvalue route's.
-def test_transfer_matrix_roots_match_the_aberth_loop(no_mirrors):
-    cases = [(None, s, 1e-14) for s in enumerate_farey(24)]
-    cases += [(GeneratorParams(3, 4), s, 1e-7) for s in enumerate_farey(16)]
-    for params, s, tol in cases:
-        found = np.array(pleating.cusp_candidates(s, params).roots)
-        shifted = farey_polynomial(s, params or "parabolic") + Poly([2])
-        want = np.array(pleating.roots(shifted, s).roots)
-        dist = np.abs(found[:, None] - want[None, :])
-        assert len(set(dist.argmin(axis=1).tolist())) == len(found) == s.q, s
-        assert np.all(dist.min(axis=1) <= tol * np.maximum(1.0, np.abs(want[dist.argmin(axis=1)]))), s
+def _inclusion_certified(coeffs, z, bound) -> bool:
+    """Whether the inclusion disks D(z_i, q |W_i|) of the roots ``z`` of the
+    polynomial with ascending ``coeffs`` are pairwise disjoint, each of
+    radius at most ``bound`` max(1, |z_i|).
+
+    W_i = P(z_i) / (c_q prod_(j != i) (z_i - z_j)) is the Weierstrass
+    correction, with P(z_i) from ``rings._exact_evaluator``.  The q disks
+    cover every root, and a connected union of m of them holds exactly m
+    (Braess & Hadeler 1973; Carstensen 1991): disjoint disks prove the set
+    complete, its roots simple, and each within its radius of a true root.
+    """
+    p, _ = rings._exact_evaluator(coeffs)(z)
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radii = len(z) * np.abs(p / (complex(coeffs[-1]) * diff.prod(axis=1)))
+    gaps = np.abs(z[:, None] - z[None, :]) - (radii[:, None] + radii[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return bool(np.all(gaps > 0) and np.all(radii <= bound * np.maximum(1.0, np.abs(z))))
+
+
+# The eigenvalue route's roots certified by inclusion disks on P + 2: the
+# parabolic coefficients are exact ints, the numeric(3,4) ones the complex
+# doubles as given.  Measured worst radius over max(1, |z|): 4.1e-14
+# parabolic (q <= 24) and 1.7e-7 at (3,4) (q <= 16), where the rounded
+# coefficients move their roots more as q grows.  A root moved by 1e-6
+# relative, or replaced by a copy of another, is not certified.
+def test_transfer_matrix_roots_are_certified_by_inclusion_disks(no_mirrors):
+    cases = [(None, s, 1e-13) for s in enumerate_farey(24)]
+    cases += [(GeneratorParams(3, 4), s, 5e-7) for s in enumerate_farey(16)]
+    for params, s, bound in cases:
+        z = np.array(pleating.cusp_candidates(s, params).roots)
+        shifted = (farey_polynomial(s, params or "parabolic") + Poly([2])).coeffs
+        assert len(z) == s.q and _inclusion_certified(shifted, z, bound), s
+        if s.q >= 2:
+            moved, copied = z.copy(), z.copy()
+            moved[-1] *= 1 + 1e-6
+            copied[-1] = z[0]
+            assert not _inclusion_certified(shifted, moved, bound), s
+            assert not _inclusion_certified(shifted, copied, bound), s
 
 
 def _is_negative_zero(x: float) -> bool:
@@ -510,8 +534,12 @@ def test_root_sets_are_sorted_by_rounded_parts(no_mirrors):
         assert all(z.conjugate() in rs.roots for z in rs.roots), rs.slope
     for rs in pleating.slice_cloud(20, GeneratorParams(3, 4)):
         assert rs.roots == sorted(rs.roots, key=_round_key), rs.slope
-    found, _, _ = pleating.all_roots([1e300, 0, 1e-300])
-    assert found == sorted(found, key=_round_key)
+    # Parts past 8192 take ``_order_key``'s ``round`` path: the roots
+    # +-1e5 i of z^2 + 1e10, given in the wrong order.
+    found, residuals, converged = pleating._verdict(np.array([1e10, 0, 1], dtype=complex),
+                                                    np.array([1e5j, -1e5j]))
+    assert found == sorted(found, key=_round_key) == [-1e5j, 1e5j]
+    assert residuals == [0.0, 0.0] and converged
 
 
 def test_roots_are_conjugate_closed():
@@ -522,7 +550,7 @@ def test_roots_are_conjugate_closed():
     polys += [rng.standard_normal(n + 1).tolist() for n in rng.integers(2, 31, size=16)]
     for c in polys:
         c[-1] = c[-1] or 1
-        found = np.array(pleating.roots(Poly(c)).roots)
+        found = np.array(pleating.all_roots(Poly(c).coeffs)[0])
         gaps = np.abs(found.conjugate()[:, None] - found[None, :]).min(axis=1)
         assert np.all(gaps <= 1e-12 * np.abs(found)), c
 
@@ -694,9 +722,9 @@ def test_roots_of_integer_input_past_double_range_are_exact_and_do_not_warn():
     # The default evaluator takes 2**60 exactly: the 1 beside it is not lost.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rs = pleating.roots(Poly([2**60, 1, 1]))
-    assert rs.roots == pytest.approx([-0.5 - 2**30 * 1j, -0.5 + 2**30 * 1j], abs=1e-12)
-    assert rs.residuals == [0.0, 0.0] and rs.converged
+        found, residuals, converged = pleating.all_roots(Poly([2**60, 1, 1]).coeffs)
+    assert found == pytest.approx([-0.5 - 2**30 * 1j, -0.5 + 2**30 * 1j], abs=1e-12)
+    assert residuals == [0.0, 0.0] and converged
 
 
 def test_roots_of_complex_input_past_2_53_are_exact_and_do_not_warn():
@@ -704,9 +732,9 @@ def test_roots_of_complex_input_past_2_53_are_exact_and_do_not_warn():
     # sum -1j and product 2**60.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cx = pleating.roots(Poly([2**60, 1j, 1]))
-    assert sum(cx.roots) == pytest.approx(-1j, abs=1e-12)
-    assert abs(cx.roots[0] * cx.roots[1] - 2**60) < 1e-3
+        found, _, _ = pleating.all_roots(Poly([2**60, 1j, 1]).coeffs)
+    assert sum(found) == pytest.approx(-1j, abs=1e-12)
+    assert abs(found[0] * found[1] - 2**60) < 1e-3
 
 
 def test_exact_coefficients_past_double_range_do_not_warn():
@@ -742,33 +770,47 @@ def test_all_roots_restarts_particles_with_non_finite_ratios_apart(monkeypatch):
 
 def _exact_order_2_polynomial(s):
     """P + 2 at orders (2, 2) as exact ints: each generic term c u^i v^j
-    at u = v = i is c i^(i + j), and i + j is even in every term."""
+    at u = v = i is c i^(i + j) = c (-1)^((i + j) / 2), and i + j is even
+    in every term."""
     coeffs = []
     for k, x in enumerate(recursion.farey_polynomial(s, "generic").coeffs):
         assert all((i + j) % 2 == 0 for i, j in x.terms), s
-        coeffs.append(sum(c * (-1) ** ((i + j) // 2) for (i, j), c in x.terms.items()) + 2 * (k == 0))
+        coeffs.append(sum(-c if (i + j) // 2 % 2 else c for (i, j), c in x.terms.items()) + 2 * (k == 0))
     return Poly(coeffs)
 
 
 def test_cusp_candidates_at_orders_2_2_are_the_exact_roots():
-    # P + 2 = +-(z - k)^(q mod 2) S(z)^2: every other root is double, and
-    # every root is real.  The Aberth loop on the exact integer polynomial
-    # (``roots``) is the reference; the sets must match it root for root
-    # and meet criterion 11's checks.  A double root's two copies share
-    # their nearest root, so the roots pair by position: both sets are
-    # sorted by rounded real part, and distinct roots lie far more than
-    # 1e-10 apart.
+    # P + 2 = c (z - k)^(q mod 2) S(z)^2 with c = +-1 and k in {0, 4}, in
+    # exact ints.  Each distinct root r of the set other than k comes
+    # twice, and S changes sign across [r - 1e-12, r + 1e-12], evaluated in
+    # Fractions.  The brackets are disjoint and deg S of them, so each
+    # holds one simple root of S and there are no others: every root of
+    # P + 2 is within 1e-12 of the set, with its multiplicity.  The sets
+    # also meet criterion 11's checks.
     params = GeneratorParams(2, 2)
+    width = Fraction(1, 10**12)
     for s in enumerate_farey(20):
         if s.q < 2:
             continue
         exact = _exact_order_2_polynomial(s)
         rs = pleating.cusp_candidates(s, params)
         assert_root_set_properties(rs, exact.coeffs)
-        found = np.array(rs.roots)
-        want = np.array(pleating.roots(exact, s).roots)
-        worst = float(np.max(np.abs(found - want) / np.maximum(1.0, np.abs(want))))
-        assert worst <= 1e-10, (s, worst)
+        assert all(z.imag == 0 for z in rs.roots), s
+        found = [z.real for z in rs.roots]
+        assert exact.leading in (1, -1), s
+        square, k = exact.scale(exact.leading), None
+        if s.q % 2:
+            k = 0.0 if exact.coeffs[0] == 0 else 4.0
+            square = square.divmod_exact(Poly([-int(k), 1]))
+        root = rings.poly_sqrt_exact(square)
+        assert root is not None, s
+        assert (k in found) == bool(s.q % 2), s
+        double = sorted(set(found) - {k})
+        assert all(found.count(r) == 2 for r in double), s
+        assert len(double) == root.degree, s
+        assert all(b - a > 2 * width for a, b in zip(double, double[1:])), s
+        for r in map(Fraction, double):
+            assert root.evaluate(r - width) * root.evaluate(r + width) < 0, (s, r)
 
 
 def test_cusp_candidates_with_a_root_at_zero():
@@ -801,7 +843,8 @@ def test_orders_2_2_polynomials_are_lucas_polynomials():
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), s
         if s.q <= 20:
             want[0] += 2
-            assert _exact_order_2_polynomial(s).coeffs == want, s
+            exact = _exact_order_2_polynomial(s).coeffs
+            assert exact == want and all(type(c) is int for c in exact), s
 
 
 def test_no_cusp_set_runs_the_aberth_loop(monkeypatch):
