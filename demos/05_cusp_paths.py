@@ -15,9 +15,9 @@ OUT.mkdir(exist_ok=True)
 
 paths = {
     # convergent denominators grow fast: these depths end at 13/21 and
-    # 29/41, which keeps the demo quick; root sets stay accurate to
-    # golden depth 13 (233/377) and inv_sqrt2 depth 7 (169/239), and the
-    # next convergents (377/610, 408/577) raise DegreeOverflow
+    # 29/41, which keeps the demo quick; every set stays converged through
+    # golden depth 14 (377/610, 610 roots) and inv_sqrt2 depth 8
+    # (408/577, 577 roots)
     "golden": (CFExpansion((0, 1), period=1), 7),       # 1/golden-ratio
     "inv_sqrt2": (CFExpansion((0, 1, 2), period=1), 5),  # 1/sqrt(2)
 }

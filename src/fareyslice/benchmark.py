@@ -11,10 +11,10 @@ up combinatorially at the benchmark sizes and the pictures the speedup
 matters for are parabolic or numeric anyway.  Two checks cover different
 code:
 
-- a small generic-ring gate runs first and compares the generic
-  recursion with the generic oracle on small slopes; that oracle
-  multiplies Kronecker-packed integers, not the ``Mat2`` products that
-  are timed;
+- a small generic-ring gate, ``route_mismatches`` on small slopes, runs
+  first and compares the generic recursion with the generic oracle, as
+  ``fareyslice verify`` does; that oracle multiplies Kronecker-packed
+  integers, not the ``Mat2`` products that are timed;
 - the two timed parabolic results, the recursion's polynomial and the
   trace of the ``Mat2`` word product, must be equal at the target.
 """
@@ -22,28 +22,25 @@ code:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Iterable
 
 from . import oracle
 from .errors import RouteMismatch
-from .recursion import FareyPolynomialEngine
+from .recursion import FareyPolynomialEngine, get_engine
 from .rings import poly_mul_count
-from .slopes import CFExpansion, Slope, semiconvergent_path
+from .slopes import CFExpansion, Slope, convergents, semiconvergent_path
 from .words import farey_word
 
-__all__ = ["BenchReport", "run_benchmark", "fibonacci"]
+__all__ = ["BenchReport", "route_mismatches", "run_benchmark"]
 
-
-def fibonacci(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+# 1/golden ratio: its n-th convergent is F(n - 1)/F(n), 377/610 at n = 15.
+_GOLDEN = CFExpansion((0, 1), period=1)
 
 
 @dataclass
 class BenchReport:
-    path_kind: str
+    path: str
     size: int
     target: Slope
     recursion_mults: int
@@ -61,18 +58,15 @@ class BenchReport:
         return self.oracle_seconds / max(1e-12, self.recursion_seconds)
 
     def payload(self) -> dict:
-        return {
-            "path": self.path_kind,
-            "size": self.size,
-            "target": str(self.target),
-            "recursion_mults": self.recursion_mults,
-            "oracle_mults": self.oracle_mults,
-            "mult_ratio": self.mult_ratio,
-            "recursion_seconds": self.recursion_seconds,
-            "oracle_seconds": self.oracle_seconds,
-            "speedup": self.speedup,
-            "gate_checked": self.gate_checked,
-        }
+        return {**asdict(self), "target": str(self.target),
+                "mult_ratio": self.mult_ratio, "speedup": self.speedup}
+
+
+def route_mismatches(slopes: Iterable[Slope]) -> list[Slope]:
+    """The slopes, in order, at which the generic triangle recursion (the
+    shared engine) differs from the generic matrix oracle."""
+    engine = get_engine("generic")
+    return [s for s in slopes if engine.polynomial(s) != oracle.farey_polynomial(s, "generic")]
 
 
 def _targets(path_kind: str, size: int) -> Slope:
@@ -81,25 +75,20 @@ def _targets(path_kind: str, size: int) -> Slope:
     if path_kind == "left":
         return Slope(1, size)
     if path_kind == "fibonacci":
-        return Slope(fibonacci(size - 1), fibonacci(size))
+        return convergents(_GOLDEN, size)[-1]
     raise ValueError("path kind must be 'left' or 'fibonacci'")
 
 
 def _gate(path_kind: str) -> int:
     """Exact generic-ring equality of both methods on small slopes."""
-    limit_q = 8
-    engine = FareyPolynomialEngine("generic")
-    checked = 0
     if path_kind == "left":
-        slopes = [Slope(1, q) for q in range(1, limit_q + 1)]
+        slopes = [Slope(1, q) for q in range(1, 9)]
     else:
-        golden = CFExpansion((0, 1), period=1)
-        slopes = [s for s in semiconvergent_path(golden, 6)]
-    for s in slopes:
-        if engine.polynomial(s) != oracle.farey_polynomial(s, "generic"):
-            raise RouteMismatch(f"oracle and recursion disagree at {s}")
-        checked += 1
-    return checked
+        slopes = semiconvergent_path(_GOLDEN, 6)
+    bad = route_mismatches(slopes)
+    if bad:
+        raise RouteMismatch(f"oracle and recursion disagree at {bad[0]}")
+    return len(slopes)
 
 
 def run_benchmark(path_kind: str, size: int) -> BenchReport:
@@ -124,7 +113,7 @@ def run_benchmark(path_kind: str, size: int) -> BenchReport:
         raise RouteMismatch(f"methods disagree at {target}")
 
     return BenchReport(
-        path_kind=path_kind,
+        path=path_kind,
         size=size,
         target=target,
         recursion_mults=rec_mults,

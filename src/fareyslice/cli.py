@@ -13,10 +13,10 @@ import json
 import sys
 from typing import Optional
 
-from . import benchmark, conjecture, frf, oracle, pleating, serialize
+from . import benchmark, conjecture, frf, pleating, serialize
 from .errors import FareySliceError, SingularParameter
 from .rings import Ring
-from .recursion import dynsys_check, farey_polynomial, get_engine, homogeneous_farey_polynomial
+from .recursion import dynsys_check, farey_polynomial, homogeneous_farey_polynomial
 from .slopes import CFExpansion, Slope, enumerate_farey
 from .words import farey_word
 
@@ -169,17 +169,13 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    engine = get_engine("generic")
-    lines = []
-    failures = 0
-    for s in enumerate_farey(args.qmax):
-        ok = engine.polynomial(s) == oracle.farey_polynomial(s, "generic")
-        failures += not ok
-        lines.append(f"{'OK  ' if ok else 'FAIL'} {s}")
-    lines.append(f"{'all slopes agree' if not failures else f'{failures} mismatches'}"
+    slopes = enumerate_farey(args.qmax)
+    bad = benchmark.route_mismatches(slopes)
+    lines = [f"{'FAIL' if s in bad else 'OK  '} {s}" for s in slopes]
+    lines.append(f"{f'{len(bad)} mismatches' if bad else 'all slopes agree'}"
                  f" (q <= {args.qmax})")
     _emit("\n".join(lines), args.out)
-    return 2 if failures else 0
+    return 2 if bad else 0
 
 
 def _root_sets_output(root_sets, args) -> int:

@@ -370,28 +370,37 @@ def cusp_candidates(s: Slope, ring: Optional[RingSpec] = None) -> RootSet:
     P_{(q-p)/q}(z) = P_{p/q}(-z) exactly.  Only the lower slope of such a
     mirror pair is root-solved; the upper set is its exact negation, in
     reverse order (``_mirrored``).  Either way a set depends only on its
-    slope, not on the order of requests.
+    slope, not on the order of requests.  A lone request leaves its
+    partner's set in the store until that slope is asked for.
     """
     if s.is_infinite:
         raise FormalVertex("1/0 has no root locus")
     ring = Ring.parse("parabolic" if ring is None else ring)
-    if ring.name == "generic":
-        raise ValueError("the generic ring has no roots to find")
     if ring.name != "parabolic" or 2 * s.p == s.q:
         return _extract(s, ring)
     with _MIRRORS_LOCK:
         served = _MIRRORS.pop(s, None)
     if served is not None:
         return served
-    lower = _extract(Slope(min(s.p, s.q - s.p), s.q), ring)
-    upper = _mirrored(lower)
-    mine, partner = (lower, upper) if s == lower.slope else (upper, lower)
+    solved, mine = _solved(s, ring)
+    partner = _mirrored(solved) if mine is solved else solved
     with _MIRRORS_LOCK:
         # Another thread may have left this slope's set here meanwhile;
         # it is the same set, and the pair keeps one entry.
         _MIRRORS.pop(s, None)
         _MIRRORS[partner.slope] = partner
     return mine
+
+
+def _solved(s: Slope, ring: Ring) -> tuple[RootSet, RootSet]:
+    """(the set root-solved, the slope's set), with no mirror store.  They
+    are one set, except at an upper parabolic slope p/q, 2p > q, whose set
+    is the negation of the one solved for (q - p)/q."""
+    if ring.name != "parabolic" or 2 * s.p <= s.q:
+        rs = _extract(s, ring)
+        return rs, rs
+    lower = _extract(Slope(s.q - s.p, s.q), ring)
+    return lower, _mirrored(lower)
 
 
 # At orders (2, 2), alpha = beta = i and X^2 = Y^2 = -I, so each inverse
@@ -421,6 +430,8 @@ def _extract(s: Slope, ring: Ring) -> RootSet:
     The coefficients only probe for overflow and score the roots, so
     exact integers past 2**53 may round to doubles.
     """
+    if ring.name == "generic":
+        raise ValueError("the generic ring has no roots to find")
     engine = get_engine(ring)
     two = ring.coeff(2)
     coeffs = (engine.polynomial(s) + Poly([two])).coeffs
@@ -542,10 +553,12 @@ def irrational_cusp_path(
 
     Polynomials come from the fan walk (one multiplication per mediant,
     no matrix products); only the ``depth`` true convergents are root-
-    solved.
+    solved, as ``cusp_candidates`` solves them but with no mirror store: a
+    path's denominators increase, so it never asks for both of a pair.
     """
+    ring = Ring.parse("parabolic" if ring is None else ring)
     convergents = (s for s, is_conv in _mediant_walk(cf) if is_conv)
-    return [cusp_candidates(s, ring) for s in islice(convergents, max(depth, 0))]
+    return [_solved(s, ring)[1] for s in islice(convergents, max(depth, 0))]
 
 
 def extremal_root_heuristic(rs: RootSet) -> complex:

@@ -3,7 +3,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from fareyslice import GeneratorParams, Poly, Slope, farey_polynomial, oracle, pleating, serialize
+from fareyslice import (GeneratorParams, Poly, Slope, conjecture, farey_polynomial, oracle,
+                        pleating, serialize)
 from fareyslice.cli import main
 
 
@@ -74,6 +75,22 @@ def test_verify_command(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_and_bench_report_a_route_mismatch(capsys, monkeypatch):
+    # A generic oracle wrong at 1/2 only: verify fails that slope alone,
+    # and the gate of either benchmark path stops there, before any timing.
+    farey = oracle.farey_polynomial
+    monkeypatch.setattr(oracle, "farey_polynomial",
+                        lambda s, ring: farey(Slope(1, 3) if s == Slope(1, 2) else s, ring))
+    code, out, _ = run(capsys, "verify", "--qmax", "4")
+    assert code == 2
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == ["FAIL 1/2"]
+    assert out.splitlines()[-1] == "1 mismatches (q <= 4)"
+    for path in ("left", "fibonacci"):
+        code, out, err = run(capsys, "bench", "--path", path, "--size", "5")
+        assert code == 2 and out == "", path
+        assert "computation failed" in err and "disagree at 1/2" in err, path
+
+
 def test_slice_command_csv(capsys, tmp_path):
     target = tmp_path / "cloud.csv"
     code, _, _ = run(capsys, "slice", "--qmax", "3", "--out", str(target))
@@ -120,6 +137,17 @@ def test_conjecture_command(capsys, tmp_path):
     assert report["rules"]["1/2"] == "both"
     assert report["rule_failures"] == []
     assert svg_path.read_text().count("<circle") == len(report["rules"])
+
+
+def test_conjecture_strict_exits_2_on_a_failed_rule(capsys, monkeypatch):
+    bad_points = conjecture.bad_points
+    monkeypatch.setattr(conjecture, "bad_points",
+                        lambda q_max: {**bad_points(q_max), Slope(1, 2): "neither"})
+    code, out, _ = run(capsys, "conjecture", "--qmax", "6", "--strict")
+    assert code == 2
+    assert json.loads(out)["rule_failures"] == ["1/2"]
+    code, _, _ = run(capsys, "conjecture", "--qmax", "6")
+    assert code == 0
 
 
 def test_dynsys_command(capsys):
@@ -214,6 +242,13 @@ def test_unconverged_root_sets_exit_2(capsys, monkeypatch):
 def test_arguments_that_do_not_parse_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and "usage error" in err and out == ""
+
+
+def test_an_unwritable_output_path_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "word", "--slope", "1/2", "--out", str(target))
+    assert code == 1 and out == ""
+    assert "usage error" in err
 
 
 def test_an_unknown_ring_label_names_the_accepted_forms(capsys):

@@ -19,7 +19,7 @@ from fareyslice import (
     farey_polynomial,
 )
 from fareyslice import oracle, pleating, recursion, rings, serialize
-from fareyslice.errors import DegreeOverflow
+from fareyslice.errors import DegreeOverflow, FormalVertex
 from fareyslice.words import farey_exponents
 
 def assert_root_set_properties(rs, coeffs):
@@ -122,9 +122,13 @@ def test_roots_rejects_overflowing_evaluation():
     # finite coefficients whose evaluation overflows doubles on the circle
     # of the largest root; the probe itself must not warn (RuntimeWarnings
     # are errors under pytest).  Each mirror partner raises too: its set
-    # is derived from the same extraction.
-    for s in (Slope(610, 987), Slope(377, 987)):
-        with pytest.raises(DegreeOverflow):
+    # is derived from the same extraction.  The coefficients of 1/800
+    # (1104 bits) leave double range before any probe.  These pin the
+    # 1024-bit ceiling of the double coefficients.
+    cases = [(Slope(610, 987), "during iteration"), (Slope(377, 987), "during iteration"),
+             (Slope(1, 450), "during iteration"), (Slope(1, 800), "coefficients exceed")]
+    for s, match in cases:
+        with pytest.raises(DegreeOverflow, match=match):
             pleating.cusp_candidates(s)
 
 
@@ -634,6 +638,9 @@ def test_equal_ring_specs_give_the_same_cloud(specs, no_mirrors):
 def test_cusp_candidates_rejects_the_generic_ring():
     with pytest.raises(ValueError, match="generic ring"):
         pleating.cusp_candidates(S("1/3"), "generic")
+    # nor has the formal vertex, in any ring
+    with pytest.raises(FormalVertex, match="no root locus"):
+        pleating.cusp_candidates(Slope(1, 0))
 
 
 def test_numeric_inf_inf_is_not_the_parabolic_ring(no_mirrors):
@@ -697,6 +704,20 @@ def test_irrational_cusp_path_golden():
         assert max(rs.residuals) < 1e-8
     assert pleating.irrational_cusp_path(golden, 0) == []
     assert pleating.irrational_cusp_path(golden, -1) == []
+
+
+def test_irrational_cusp_path_leaves_the_mirror_store_as_it_was(no_mirrors):
+    # Convergent denominators increase strictly, so a path never asks for
+    # both slopes of a mirror pair, and a partner set kept for it would
+    # never be served.  Its sets are those of single requests, 2/3 served
+    # from the store among them.
+    pleating.cusp_candidates(S("1/3"))
+    before = dict(pleating._MIRRORS)
+    assert list(before) == [S("2/3")]
+    sets = pleating.irrational_cusp_path(CFExpansion((0, 1), period=1), 12)
+    assert pleating._MIRRORS == before
+    assert sets[-1].slope == S("144/233")
+    assert repr(sets) == repr([pleating.cusp_candidates(rs.slope) for rs in sets])
 
 
 def test_irrational_cusp_path_sqrt2():
