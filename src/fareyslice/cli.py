@@ -44,13 +44,6 @@ def _add_ring_option(p: argparse.ArgumentParser) -> None:
                         " cone orders a, b each an integer >= 2 or inf, e.g. 'numeric(3,4)'")
 
 
-def _root_ring(args) -> Ring:
-    ring = _parsed(Ring.parse, args.ring)
-    if ring.name == "generic":
-        raise _UsageError("root extraction needs a numeric specialisation")
-    return ring
-
-
 def _parse_cf(args) -> CFExpansion:
     terms = args.cf.split(",")
     return _parsed(lambda: CFExpansion(tuple(int(t) for t in terms), period=args.periodic))
@@ -194,11 +187,12 @@ def _root_sets_output(root_sets, args) -> int:
 
 
 def _cmd_slice(args) -> int:
-    return _root_sets_output(pleating.slice_cloud(args.qmax, _root_ring(args)), args)
+    ring = _parsed(pleating.root_ring, args.ring)
+    return _root_sets_output(pleating.slice_cloud(args.qmax, ring), args)
 
 
 def _cmd_cusp_path(args) -> int:
-    ring = _root_ring(args)
+    ring = _parsed(pleating.root_ring, args.ring)
     cf = _parse_cf(args)
     return _root_sets_output(pleating.irrational_cusp_path(cf, args.depth, ring), args)
 

@@ -49,6 +49,7 @@ __all__ = [
     "RootSet",
     "all_roots",
     "cusp_candidates",
+    "root_ring",
     "slice_cloud",
     "irrational_cusp_path",
     "extremal_root_heuristic",
@@ -351,10 +352,19 @@ _MIRRORS: dict[Slope, RootSet] = {}
 _MIRRORS_LOCK = threading.Lock()
 
 
+def root_ring(spec: Optional[RingSpec] = None) -> Ring:
+    """The ring of a root computation: any spec ``Ring.parse`` accepts,
+    None the parabolic ring.  The generic ring has no roots to find and
+    raises ``ValueError``, as a malformed spec does."""
+    ring = Ring.parse("parabolic" if spec is None else spec)
+    if ring.name == "generic":
+        raise ValueError("the generic ring has no roots to find")
+    return ring
+
+
 def cusp_candidates(s: Slope, ring: Optional[RingSpec] = None) -> RootSet:
-    """All roots of the slope's trace polynomial shifted by +2, in ``ring``:
-    any spec ``Ring.parse`` accepts, None the parabolic ring.  The generic
-    ring has no roots to find, and raises ``ValueError``.
+    """All roots of the slope's trace polynomial shifted by +2, in ``ring``
+    (see ``root_ring``).
 
     These approximate the boundary of the (parabolic or cone-angle)
     slice; which of them are genuine cusp points is an open question.
@@ -365,17 +375,16 @@ def cusp_candidates(s: Slope, ring: Optional[RingSpec] = None) -> RootSet:
     set is exactly closed under conjugation; a ``numeric(inf,inf)`` set,
     from a complex G with no mirror step, to double resolution.
 
-    In the parabolic ring the slope map p/q -> (q - p)/q swaps the seeds
-    2 - z and 2 + z and fixes 1/0 and the constant 8, so
-    P_{(q-p)/q}(z) = P_{p/q}(-z) exactly.  Only the lower slope of such a
-    mirror pair is root-solved; the upper set is its exact negation, in
-    reverse order (``_mirrored``).  Either way a set depends only on its
-    slope, not on the order of requests.  A lone request leaves its
-    partner's set in the store until that slope is asked for.
+    In the parabolic ring P_{(q-p)/q}(z) = P_{p/q}(-z) exactly (the mirror
+    rule of ``recursion``).  Only the lower slope of such a mirror pair is
+    root-solved; the upper set is its exact negation, in reverse order
+    (``_mirrored``).  Either way a set depends only on its slope, not on
+    the order of requests.  A lone request leaves its partner's set in the
+    store until that slope is asked for.
     """
     if s.is_infinite:
         raise FormalVertex("1/0 has no root locus")
-    ring = Ring.parse("parabolic" if ring is None else ring)
+    ring = root_ring(ring)
     if ring.name != "parabolic" or 2 * s.p == s.q:
         return _extract(s, ring)
     with _MIRRORS_LOCK:
@@ -430,8 +439,6 @@ def _extract(s: Slope, ring: Ring) -> RootSet:
     The coefficients only probe for overflow and score the roots, so
     exact integers past 2**53 may round to doubles.
     """
-    if ring.name == "generic":
-        raise ValueError("the generic ring has no roots to find")
     engine = get_engine(ring)
     two = ring.coeff(2)
     coeffs = (engine.polynomial(s) + Poly([two])).coeffs
@@ -551,12 +558,13 @@ def irrational_cusp_path(
 ) -> list[RootSet]:
     """Root sets in ``ring`` along the convergents of a continued fraction.
 
-    Polynomials come from the fan walk (one multiplication per mediant,
-    no matrix products); only the ``depth`` true convergents are root-
-    solved, as ``cusp_candidates`` solves them but with no mirror store: a
-    path's denominators increase, so it never asks for both of a pair.
+    Polynomials come from the fan walk (at most one multiplication per
+    mediant, no matrix products); only the ``depth`` true convergents are
+    root-solved, as ``cusp_candidates`` solves them but with no mirror
+    store: a path's denominators increase, so it never asks for both of a
+    pair.  The ring is checked first (``root_ring``), even at depth 0.
     """
-    ring = Ring.parse("parabolic" if ring is None else ring)
+    ring = root_ring(ring)
     convergents = (s for s, is_conv in _mediant_walk(cf) if is_conv)
     return [_solved(s, ring)[1] for s in islice(convergents, max(depth, 0))]
 

@@ -1,7 +1,6 @@
 """Farey polynomials by memoized triangle recursion down the Farey graph.
 
-Each new slope costs exactly one polynomial multiplication: with parents
-(a, b) and third triangle vertex d = a (-) b,
+With parents (a, b) and third triangle vertex d = a (-) b,
 
     value(mediant) = C(parity of target denominator) - value(a)*value(b)
                      - value(d)
@@ -9,6 +8,21 @@ Each new slope costs exactly one polynomial multiplication: with parents
 where C is the even/odd recursion constant of the ring (both equal 8 in
 the parabolic case).  Values are exact in the parabolic and generic
 rings and complex doubles in the numeric ring.
+
+A new slope costs at most one polynomial multiplication, and in the
+exact rings none when its mirror is cached (the mirror rule):
+
+    P_{(q-p)/q}(z, u, v) = P_{p/q}(-z, u, 1/v).
+
+The reflection p/q -> (q - p)/q of the Farey graph keeps denominators,
+fixes 1/0 and maps each triangle to a triangle, its mediant to the
+mediant.  Under (z, v) -> (-z, 1/v) the seeds at 0/1 and 1/1 swap, the
+seed 2 at 1/0 and both triangle sums are fixed, so by induction down the
+Stern-Brocot tree the map carries each slope's value to its mirror's.
+Parabolically it reads P_{(q-p)/q}(z) = P_{p/q}(-z).  A numeric ring
+keeps one product per slope: there v = exp(i pi / b), and the rule would
+read its mirror's value at 1/v, the conjugate parameter, which is
+another ring; so its doubles stay as the product gives them.
 
 One kernel, ``descend``, walks the Stern-Brocot path to a slope from the
 interval (0/1, 1/1) with third vertex 1/0 and calls a ``step`` once per
@@ -37,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ZeroDivisor
-from .rings import Laurent2, Poly, Ring, RingSpec
+from .rings import Laurent2, Poly, Ring, RingSpec, _from_terms
 from .slopes import CFExpansion, Slope, semiconvergent_path
 
 __all__ = [
@@ -70,6 +84,20 @@ _ODD_SUM = Laurent2({(1, 1): 2, (1, -1): 2, (-1, 1): 2, (-1, -1): 2})
 
 def _seeds(ring: Ring) -> dict[tuple[int, int], Poly]:
     return {k: ring.specialize(p) for k, p in _GENERIC_SEEDS.items()}
+
+
+def _mirrored(poly: Poly) -> Poly:
+    """P(-z, u, 1/v) of an exact P(z, u, v): the polynomial of the mirror
+    slope (see the module docstring).  Odd powers of z change sign, and a
+    generic term (i, j) moves to (i, -j), in new term dicts."""
+    out = []
+    for k, c in enumerate(poly.coeffs):
+        odd = k & 1
+        if type(c) is Laurent2:
+            out.append(_from_terms({(i, -j): -n if odd else n for (i, j), n in c.terms.items()}))
+        else:
+            out.append(-c if odd else c)
+    return Poly(out)
 
 
 def descend(cache: dict, s: Slope, step: Callable) -> object:
@@ -116,6 +144,10 @@ class FareyPolynomialEngine:
 
     def _step(self, t: tuple, a: tuple, b: tuple, d: tuple) -> Poly:
         cache = self._cache
+        if self.ring.params is None:  # exact: the mirror rule holds
+            mirror = cache.get((t[1] - t[0], t[1]))
+            if mirror is not None:
+                return _mirrored(mirror)
         return self._constants[t[1] % 2] - cache[a] * cache[b] - cache[d]
 
     def evaluate(self, s: Slope, z) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +221,8 @@ def fan_walk(cf: CFExpansion, n: int, ring: RingSpec = "parabolic") -> list[tupl
     """Polynomials along the unit-mediant walk of a continued fraction.
 
     The walk advances one Farey triangle at a time, so the engine performs
-    one polynomial multiplication per new slope and no matrix products.
+    at most one polynomial multiplication per new slope and no matrix
+    products.
     """
     engine = get_engine(ring)
     return [(s, engine.polynomial(s)) for s in semiconvergent_path(cf, n)]

@@ -194,6 +194,10 @@ def test_usage_errors(capsys):
     assert main(["word", "--slope", "abc"]) == 1
     assert main(["slice", "--qmax", "3", "--ring", "generic"]) == 1
     assert main(["cusp-path", "--cf", "0,1", "--depth", "2", "--ring", "generic"]) == 1
+    # the one rule of the library, with its message
+    capsys.readouterr()
+    code, _, err = run(capsys, "slice", "--qmax", "3", "--ring", "generic")
+    assert code == 1 and err == "usage error: the generic ring has no roots to find\n"
 
 
 def test_errors_inside_a_computation_exit_2(capsys):

@@ -638,6 +638,10 @@ def test_equal_ring_specs_give_the_same_cloud(specs, no_mirrors):
 def test_cusp_candidates_rejects_the_generic_ring():
     with pytest.raises(ValueError, match="generic ring"):
         pleating.cusp_candidates(S("1/3"), "generic")
+    # a path rejects it before its first convergent, as a bad spec
+    for spec in ("generic", "numeric(1,2)"):
+        with pytest.raises(ValueError):
+            pleating.irrational_cusp_path(CFExpansion((0, 1), period=1), 0, spec)
     # nor has the formal vertex, in any ring
     with pytest.raises(FormalVertex, match="no root locus"):
         pleating.cusp_candidates(Slope(1, 0))

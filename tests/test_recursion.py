@@ -122,11 +122,62 @@ def test_degree_and_constant_term_structure():
 def test_parabolic_mirror_slopes_negate_z_up_to_60():
     # p/q -> (q - p)/q swaps the seeds 2 - z and 2 + z and fixes 1/0 and
     # the constant 8, so P_{(q-p)/q}(z) = P_{p/q}(-z) coefficient by
-    # coefficient; pleating.cusp_candidates relies on it.
+    # coefficient; the engines and pleating.cusp_candidates rely on it.
+    # One engine is asked only for slopes p/q <= 1/2 and another only for
+    # those >= 1/2: neither ever holds a slope's mirror, so both compute
+    # every polynomial by products.
+    lower, upper = FareyPolynomialEngine("parabolic"), FareyPolynomialEngine("parabolic")
+    before = poly_mul_count()
     for s in enumerate_farey(60):
-        mirror = farey_polynomial(Slope(s.q - s.p, s.q), "parabolic").coeffs
-        coeffs = farey_polynomial(s, "parabolic").coeffs
-        assert mirror == [(-1) ** k * c for k, c in enumerate(coeffs)], s
+        if 2 * s.p <= s.q:
+            mirror = upper.polynomial(Slope(s.q - s.p, s.q)).coeffs
+            coeffs = lower.polynomial(s).coeffs
+            assert mirror == [(-1) ** k * c for k, c in enumerate(coeffs)], s
+    assert poly_mul_count() - before == len(lower._cache) + len(upper._cache) - 6
+
+
+def _reflected(terms, k=0):
+    """A generic coefficient's term dict at (z, v) -> (-z, 1/v), as the
+    coefficient of z^k."""
+    return {(i, -j): (-1) ** k * c for (i, j), c in terms.items()}
+
+
+def test_mirror_rule_base_case():
+    # The induction start of the mirror rule, in the seeds' and triangle
+    # sums' own term dicts: (z, v) -> (-z, 1/v) swaps the seeds at 0/1 and
+    # 1/1, fixes the one at 1/0, and fixes both triangle sums.
+    seeds = {k: [c.terms for c in p.coeffs] for k, p in recursion._GENERIC_SEEDS.items()}
+    for k, mirror in (((0, 1), (1, 1)), ((1, 1), (0, 1)), ((1, 0), (1, 0))):
+        assert [_reflected(c, n) for n, c in enumerate(seeds[k])] == seeds[mirror], k
+    for total in (recursion._EVEN_SUM, recursion._ODD_SUM):
+        assert _reflected(total.terms) == total.terms
+
+
+@pytest.mark.parametrize("ring, q_max", [("generic", 12), ("parabolic", 40)])
+def test_request_order_changes_nothing(ring, q_max):
+    # In (q, p) order each upper slope is the mirror image of a cached
+    # lower one; in reverse order each lower slope is; a fresh engine per
+    # slope holds no mirror and multiplies throughout.
+    slopes = enumerate_farey(q_max)
+    forward, backward = FareyPolynomialEngine(ring), FareyPolynomialEngine(ring)
+    want = [forward.polynomial(s) for s in slopes]
+    assert [backward.polynomial(s) for s in reversed(slopes)] == want[::-1]
+    assert [FareyPolynomialEngine(ring).polynomial(s) for s in slopes] == want
+
+
+@pytest.mark.parametrize(
+    "ring, muls", [("generic", 51), (GeneratorParams(3, 4), 101)], ids=["generic", "numeric(3,4)"]
+)
+def test_mirror_images_halve_the_products_in_the_exact_rings(ring, muls):
+    # 101 slopes lie strictly between 0/1 and 1/1 with q <= 18: 50 mirror
+    # pairs and 1/2.  An exact engine multiplies once per pair and for
+    # 1/2; a numeric one once per slope.
+    engine = FareyPolynomialEngine(ring)
+    before = poly_mul_count()
+    for s in enumerate_farey(18):
+        engine.polynomial(s)
+    assert poly_mul_count() - before == muls
+    assert len(engine._cache) - 3 == 101
 
 
 def _moved_keys(poly, f):
@@ -319,8 +370,17 @@ def test_concurrent_engines_agree_with_oracle(monkeypatch):
     # Eight threads on fewer cores, released together and switching every
     # few microseconds, race to create the one generic engine and to fill
     # its cache with overlapping slopes.  Every slope must be computed
-    # exactly once: one multiplication per cached slope, as in one thread.
+    # exactly once: one multiplication or one mirror image per cached
+    # slope, as in one thread.
     monkeypatch.setattr(recursion, "_ENGINES", {})
+    mirrors = []
+    mirrored = recursion._mirrored
+
+    def counted(poly):
+        mirrors.append(poly)
+        return mirrored(poly)
+
+    monkeypatch.setattr(recursion, "_mirrored", counted)
     slopes = enumerate_farey(10)
     want = {s: oracle.farey_polynomial(s, "generic") for s in slopes}
     start = threading.Barrier(8)
@@ -341,7 +401,8 @@ def test_concurrent_engines_agree_with_oracle(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     engine = recursion.get_engine("generic")
-    assert poly_mul_count() - before == len(engine.cached_slopes()) - 3
+    assert poly_mul_count() - before + len(mirrors) == len(engine.cached_slopes()) - 3
+    assert mirrors
     for rows in results:
         assert len(rows) == len(slopes)
         for s, got_engine, poly in rows:
