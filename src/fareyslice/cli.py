@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import benchmark, conjecture, frf, pleating, serialize
-from .errors import FareySliceError, SingularParameter
+from .errors import FareySliceError, OutOfDomain, SingularParameter
 from .rings import Ring
 from .recursion import dynsys_check, farey_polynomial, homogeneous_farey_polynomial
 from .slopes import CFExpansion, Slope, enumerate_farey
@@ -45,8 +45,14 @@ def _add_ring_option(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_cf(args) -> CFExpansion:
-    terms = args.cf.split(",")
-    return _parsed(lambda: CFExpansion(tuple(int(t) for t in terms), period=args.periodic))
+    def convert():
+        cf = CFExpansion(tuple(int(t) for t in args.cf.split(",")), period=args.periodic)
+        # [0; a1, a2, ...] lies in [0, 1]; any other expansion but [1] lies outside.
+        if cf.terms[0] != 0 and (cf.terms, cf.period) != ((1,), 0):
+            raise OutOfDomain(f"--cf {args.cf} --periodic {args.periodic} lies outside [0, 1]")
+        return cf
+
+    return _parsed(convert)
 
 
 def _emit(text: str, out: Optional[str]) -> None:

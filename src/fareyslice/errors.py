@@ -43,7 +43,7 @@ class DegreeOverflow(FareySliceError):
 
 
 class RouteMismatch(FareySliceError):
-    """Two independent routes to the same trace polynomial disagree."""
+    """Two independent routes to the same result disagree."""
 
 
 class NotASquare(FareySliceError):

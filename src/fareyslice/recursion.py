@@ -19,27 +19,32 @@ fixes 1/0 and maps each triangle to a triangle, its mediant to the
 mediant.  Under (z, v) -> (-z, 1/v) the seeds at 0/1 and 1/1 swap, the
 seed 2 at 1/0 and both triangle sums are fixed, so by induction down the
 Stern-Brocot tree the map carries each slope's value to its mirror's.
-Parabolically it reads P_{(q-p)/q}(z) = P_{p/q}(-z).  A numeric ring
-keeps one product per slope: there v = exp(i pi / b), and the rule would
-read its mirror's value at 1/v, the conjugate parameter, which is
+Parabolically it reads P_{(q-p)/q}(z) = P_{p/q}(-z).  The induction
+needs only these seeds and triangle sums that the reflection fixes, so
+the rule holds in any exact engine whose sums it fixes, zero included:
+the homogeneous family obeys H_{(q-p)/q}(z) = H_{p/q}(-z).  A numeric
+ring keeps one product per slope: there v = exp(i pi / b), and the rule
+would read its mirror's value at 1/v, the conjugate parameter, which is
 another ring; so its doubles stay as the product gives them.
 
 One kernel, ``descend``, walks the Stern-Brocot path to a slope from the
 interval (0/1, 1/1) with third vertex 1/0 and calls a ``step`` once per
 mediant of the path that its cache lacks.  Every recursion of the
 package runs on this one walk and differs only in its cache, seeds and
-step: the ring engines, the homogeneous family (the parabolic recursion
-with C = 0), ``frf.frf_eval``, and ``FareyPolynomialEngine.evaluate``,
-which runs the same triangle step on numpy arrays and so gives P and P'
-at many complex points at once, with no polynomial product and without
-the cancellation of Horner's rule on the expanded coefficients.  Caches
-are keyed by (p, q) int pairs, which hash faster than the frozen
-``Slope`` dataclass.
+step: the ring engines, the homogeneous family's engine (the parabolic
+seeds with C = 0), ``frf.frf_eval``, and
+``FareyPolynomialEngine.evaluate``, which runs the same triangle step on
+numpy arrays and so gives P and P' at many complex points at once, with
+no polynomial product and without the cancellation of Horner's rule on
+the expanded coefficients.  Caches are keyed by (p, q) int pairs, which
+hash faster than the frozen ``Slope`` dataclass.
 
-Cache discipline: one engine per ring, entries immutable once inserted.
-Each engine populates its caches under its own lock and ``get_engine``
-creates engines under a module lock, so concurrent callers share one
-engine per ring and only ever observe completed entries.
+Cache discipline: one engine per ring and one for the homogeneous
+family, entries immutable once inserted.  Each engine populates its
+caches under its own lock, ``get_engine`` creates the ring engines under
+a module lock and the family's engine is built at import, so concurrent
+callers share one engine per ring or family and only ever observe
+completed entries.
 """
 
 from __future__ import annotations
@@ -80,6 +85,15 @@ _GENERIC_SEEDS = {
 # specialises them (``recursion_constants``).
 _EVEN_SUM = Laurent2({(0, 0): 4, (2, 0): 1, (-2, 0): 1, (0, 2): 1, (0, -2): 1})
 _ODD_SUM = Laurent2({(1, 1): 2, (1, -1): 2, (-1, 1): 2, (-1, -1): 2})
+
+
+def recursion_constants(ring: RingSpec = "parabolic") -> tuple[Poly, Poly]:
+    """(even, odd) triangle-sum constants C of the ring, as polynomials:
+    the generic sums ``_EVEN_SUM`` and ``_ODD_SUM`` specialised.  The even
+    one takes the squared single-parameter terms, the odd one twice the
+    mixed terms, and both collapse to 8 parabolically."""
+    ring = Ring.parse(ring)
+    return ring.specialize(Poly([_EVEN_SUM])), ring.specialize(Poly([_ODD_SUM]))
 
 
 def _seeds(ring: Ring) -> dict[tuple[int, int], Poly]:
@@ -182,10 +196,17 @@ class FareyPolynomialEngine:
             return [Slope(p, q) for p, q in self._cache]
 
 
+def _homogeneous_engine() -> FareyPolynomialEngine:
+    """A new engine for the homogeneous family: the parabolic seeds with
+    both triangle sums zero."""
+    engine = FareyPolynomialEngine("parabolic")
+    engine._constants = (Poly(), Poly())
+    return engine
+
+
 _ENGINES: dict = {}
 _ENGINES_LOCK = threading.Lock()
-_HOMOGENEOUS: dict[tuple[int, int], Poly] = _seeds(Ring.parse("parabolic"))
-_HOMOGENEOUS_LOCK = threading.Lock()
+_HOMOGENEOUS_ENGINE = _homogeneous_engine()
 
 
 def get_engine(ring: RingSpec = "parabolic") -> FareyPolynomialEngine:
@@ -210,11 +231,12 @@ def homogeneous_farey_polynomial(s: Slope) -> Poly:
     """Solution of the constant-free triangle recursion at the slope.
 
     Seeds are 2 - z, 2, 2 + z at 0/1, 1/0, 1/1; each triangle step is
-    value(mediant) = -value(a)*value(b) - value(d).
+    value(mediant) = -value(a)*value(b) - value(d).  One parabolic engine
+    with both triangle sums zero computes the family under its own lock,
+    and a slope whose mirror is cached costs no product, by the mirror
+    rule H_{(q-p)/q}(z) = H_{p/q}(-z).
     """
-    cache = _HOMOGENEOUS
-    with _HOMOGENEOUS_LOCK:
-        return descend(cache, s, lambda t, a, b, d: -(cache[a] * cache[b]) - cache[d])
+    return _HOMOGENEOUS_ENGINE.polynomial(s)
 
 
 def fan_walk(cf: CFExpansion, n: int, ring: RingSpec = "parabolic") -> list[tuple[Slope, Poly]]:
@@ -235,7 +257,9 @@ def cubic_step(x1, x2, x3):
 
 
 def cubic_step_homogeneous(y1, y2, y3):
-    """The same step after shifting the constant fixed point to zero."""
+    """The same step on the reduced values y = P - 2, which moves the
+    fixed point (2, 2, 2) to zero.  This is not the step of the family of
+    ``homogeneous_farey_polynomial``, which drops the triangle sum instead."""
     return -y1 - y2 * y3 - 2 * (y2 + y3)
 
 
@@ -328,12 +352,3 @@ def dynsys_check() -> DynSysReport:
             f"char poly at ({c},{c},{c}) factors as (t+1)*({quad.coeffs})", ok
         )
     return report
-
-
-def recursion_constants(ring: RingSpec = "parabolic") -> tuple[Poly, Poly]:
-    """(even, odd) triangle-sum constants C of the ring, as polynomials:
-    the generic sums ``_EVEN_SUM`` and ``_ODD_SUM`` specialised.  The even
-    one takes the squared single-parameter terms, the odd one twice the
-    mixed terms, and both collapse to 8 parabolically."""
-    ring = Ring.parse(ring)
-    return ring.specialize(Poly([_EVEN_SUM])), ring.specialize(Poly([_ODD_SUM]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormalVertex, NotNeighbours, ReductionFailed
+from .errors import FormalVertex, NotNeighbours, ReductionFailed, RouteMismatch
 from .slopes import Slope, is_neighbor, mediant
 
 __all__ = [
@@ -117,7 +117,8 @@ def concat_flip(a: Slope, b: Slope) -> Word:
     flip = a.q + b.q - 1
     joined[flip] = joined[flip].inverse()
     word = Word(tuple(joined))
-    assert word == farey_word(mediant(a, b))
+    if word != farey_word(mediant(a, b)):
+        raise RouteMismatch(f"flipped concatenation of {a} and {b} is not their mediant's word")
     return word
 
 

@@ -235,13 +235,14 @@ def test_unconverged_root_sets_exit_2(capsys, monkeypatch):
         ["poly", "--slope", "5/3"],
         ["cusp-path", "--cf", "0,a", "--depth", "2"],
         ["cusp-path", "--cf", "0,-1", "--depth", "2"],
+        ["cusp-path", "--cf", "2,1", "--depth", "3"],
         ["poly", "--slope", "1/2", "--ring", "numeric(1,3)"],
         ["poly", "--slope", "1/2", "--ring", "numeric"],
         ["slice", "--qmax", "3", "--ring", "foo"],
         ["poly", "--slope", "1/2", "--ring", "parabolic", "--a", "3"],
     ],
     ids=["slice-tol", "cusp-path-tol", "complex", "slope-domain", "cf-int", "cf-terms",
-         "cone-order", "ring-without-orders", "ring-unknown", "cone-order-flag"],
+         "cf-domain", "cone-order", "ring-without-orders", "ring-unknown", "cone-order-flag"],
 )
 def test_arguments_that_do_not_parse_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -41,8 +41,10 @@ def test_frf_reproduces_trace_polynomials():
 
 
 def test_frf_reproduces_homogeneous_family():
+    # The FRF step multiplies at every slope, so it checks each mirror
+    # image of the family's engine independently.
     spec = frf.homogeneous_spec()
-    for s in enumerate_farey(10):
+    for s in enumerate_farey(60):
         assert frf.frf_eval(spec, s) == homogeneous_farey_polynomial(s)
 
 

@@ -119,21 +119,29 @@ def test_degree_and_constant_term_structure():
     assert farey_polynomial(S("1/0"), "parabolic").coeffs == [2]
 
 
+def _engine(kind):
+    """A new engine: a ring's, or the homogeneous family's."""
+    if kind == "homogeneous":
+        return recursion._homogeneous_engine()
+    return FareyPolynomialEngine(kind)
+
+
 def test_parabolic_mirror_slopes_negate_z_up_to_60():
     # p/q -> (q - p)/q swaps the seeds 2 - z and 2 + z and fixes 1/0 and
-    # the constant 8, so P_{(q-p)/q}(z) = P_{p/q}(-z) coefficient by
-    # coefficient; the engines and pleating.cusp_candidates rely on it.
-    # One engine is asked only for slopes p/q <= 1/2 and another only for
-    # those >= 1/2: neither ever holds a slope's mirror, so both compute
-    # every polynomial by products.
-    lower, upper = FareyPolynomialEngine("parabolic"), FareyPolynomialEngine("parabolic")
-    before = poly_mul_count()
-    for s in enumerate_farey(60):
-        if 2 * s.p <= s.q:
-            mirror = upper.polynomial(Slope(s.q - s.p, s.q)).coeffs
-            coeffs = lower.polynomial(s).coeffs
-            assert mirror == [(-1) ** k * c for k, c in enumerate(coeffs)], s
-    assert poly_mul_count() - before == len(lower._cache) + len(upper._cache) - 6
+    # the constant 8, or the homogeneous family's 0, so P_{(q-p)/q}(z) =
+    # P_{p/q}(-z) coefficient by coefficient; the engines and
+    # pleating.cusp_candidates rely on it.  One engine is asked only for
+    # slopes p/q <= 1/2 and another only for those >= 1/2: neither ever
+    # holds a slope's mirror, so both compute every polynomial by products.
+    for kind in ("parabolic", "homogeneous"):
+        lower, upper = _engine(kind), _engine(kind)
+        before = poly_mul_count()
+        for s in enumerate_farey(60):
+            if 2 * s.p <= s.q:
+                mirror = upper.polynomial(Slope(s.q - s.p, s.q)).coeffs
+                coeffs = lower.polynomial(s).coeffs
+                assert mirror == [(-1) ** k * c for k, c in enumerate(coeffs)], (kind, s)
+        assert poly_mul_count() - before == len(lower._cache) + len(upper._cache) - 6, kind
 
 
 def _reflected(terms, k=0):
@@ -153,26 +161,28 @@ def test_mirror_rule_base_case():
         assert _reflected(total.terms) == total.terms
 
 
-@pytest.mark.parametrize("ring, q_max", [("generic", 12), ("parabolic", 40)])
+@pytest.mark.parametrize("ring, q_max", [("generic", 12), ("parabolic", 40), ("homogeneous", 40)])
 def test_request_order_changes_nothing(ring, q_max):
     # In (q, p) order each upper slope is the mirror image of a cached
     # lower one; in reverse order each lower slope is; a fresh engine per
     # slope holds no mirror and multiplies throughout.
     slopes = enumerate_farey(q_max)
-    forward, backward = FareyPolynomialEngine(ring), FareyPolynomialEngine(ring)
+    forward, backward = _engine(ring), _engine(ring)
     want = [forward.polynomial(s) for s in slopes]
     assert [backward.polynomial(s) for s in reversed(slopes)] == want[::-1]
-    assert [FareyPolynomialEngine(ring).polynomial(s) for s in slopes] == want
+    assert [_engine(ring).polynomial(s) for s in slopes] == want
 
 
 @pytest.mark.parametrize(
-    "ring, muls", [("generic", 51), (GeneratorParams(3, 4), 101)], ids=["generic", "numeric(3,4)"]
+    "ring, muls",
+    [("generic", 51), (GeneratorParams(3, 4), 101), ("homogeneous", 51)],
+    ids=["generic", "numeric(3,4)", "homogeneous"],
 )
 def test_mirror_images_halve_the_products_in_the_exact_rings(ring, muls):
     # 101 slopes lie strictly between 0/1 and 1/1 with q <= 18: 50 mirror
     # pairs and 1/2.  An exact engine multiplies once per pair and for
     # 1/2; a numeric one once per slope.
-    engine = FareyPolynomialEngine(ring)
+    engine = _engine(ring)
     before = poly_mul_count()
     for s in enumerate_farey(18):
         engine.polynomial(s)
@@ -291,16 +301,12 @@ def test_descend_walks_the_stern_brocot_path_by_triangles():
         assert set(cache) == set(seeds) | {(u.p, u.q) for u in path}, s
 
 
-def _fresh_descent(kind, monkeypatch):
+def _fresh_descent(kind):
     """(cache, compute) for one user of the descent kernel, seeds only."""
-    if kind == "homogeneous":
-        cache = recursion._seeds(Ring.parse("parabolic"))
-        monkeypatch.setattr(recursion, "_HOMOGENEOUS", cache)
-        return cache, homogeneous_farey_polynomial
     if kind == "frf":
         spec = frf.homogeneous_spec()  # d1 = 1
         return spec._cache, lambda s: frf.frf_eval(spec, s)
-    engine = FareyPolynomialEngine(kind)
+    engine = _engine(kind)
     return engine._cache, engine.polynomial
 
 
@@ -309,8 +315,8 @@ def _fresh_descent(kind, monkeypatch):
     ["parabolic", "generic", GeneratorParams(3, 4), "homogeneous", "frf"],
     ids=["parabolic", "generic", "numeric(3,4)", "homogeneous", "frf"],
 )
-def test_fan_walk_multiplication_count(kind, monkeypatch):
-    cache, compute = _fresh_descent(kind, monkeypatch)
+def test_fan_walk_multiplication_count(kind):
+    cache, compute = _fresh_descent(kind)
     before, muls = len(cache), poly_mul_count()
     compute(S("13/21"))
     # One multiplication per uncached slope on the Fibonacci chain.
@@ -366,13 +372,8 @@ def test_dynsys_report():
     assert sum("char poly" in n for n in names) == 2
 
 
-def test_concurrent_engines_agree_with_oracle(monkeypatch):
-    # Eight threads on fewer cores, released together and switching every
-    # few microseconds, race to create the one generic engine and to fill
-    # its cache with overlapping slopes.  Every slope must be computed
-    # exactly once: one multiplication or one mirror image per cached
-    # slope, as in one thread.
-    monkeypatch.setattr(recursion, "_ENGINES", {})
+def _counted_mirrors(monkeypatch):
+    """The list that every later ``recursion._mirrored`` call appends to."""
     mirrors = []
     mirrored = recursion._mirrored
 
@@ -381,32 +382,67 @@ def test_concurrent_engines_agree_with_oracle(monkeypatch):
         return mirrored(poly)
 
     monkeypatch.setattr(recursion, "_mirrored", counted)
-    slopes = enumerate_farey(10)
-    want = {s: oracle.farey_polynomial(s, "generic") for s in slopes}
+    return mirrors
+
+
+def _race(slopes, compute):
+    """[(s, compute(s)) for every slope] from each of eight threads on
+    fewer cores, released together and switching every few microseconds,
+    each starting at its own offset into ``slopes``."""
     start = threading.Barrier(8)
 
     def work(k):
         start.wait(timeout=60)
-        mine = slopes[k * 5:] + slopes[:k * 5]
-        return [(s, recursion.get_engine("generic"), farey_polynomial(s, "generic"))
-                for s in mine]
+        return [(s, compute(s)) for s in slopes[k * 5:] + slopes[:k * 5]]
 
-    before = poly_mul_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(work, k) for k in range(8)]
-            results = [f.result(timeout=120) for f in futures]
+            return [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_concurrent_engines_agree_with_oracle(monkeypatch):
+    # The threads race to create the one generic engine and to fill its
+    # cache with overlapping slopes.  Every slope must be computed exactly
+    # once: one multiplication or one mirror image per cached slope, as in
+    # one thread.
+    monkeypatch.setattr(recursion, "_ENGINES", {})
+    mirrors = _counted_mirrors(monkeypatch)
+    slopes = enumerate_farey(10)
+    want = {s: oracle.farey_polynomial(s, "generic") for s in slopes}
+    before = poly_mul_count()
+    results = _race(slopes, lambda s: (recursion.get_engine("generic"),
+                                       farey_polynomial(s, "generic")))
     engine = recursion.get_engine("generic")
     assert poly_mul_count() - before + len(mirrors) == len(engine.cached_slopes()) - 3
     assert mirrors
     for rows in results:
         assert len(rows) == len(slopes)
-        for s, got_engine, poly in rows:
+        for s, (got_engine, poly) in rows:
             assert got_engine is engine
+            assert poly == want[s], s
+
+
+def test_concurrent_homogeneous_family_agrees_with_frf(monkeypatch):
+    # The same race on the homogeneous family's one engine, checked
+    # against the FRF step, which multiplies at every slope.
+    engine = recursion._homogeneous_engine()
+    monkeypatch.setattr(recursion, "_HOMOGENEOUS_ENGINE", engine)
+    mirrors = _counted_mirrors(monkeypatch)
+    slopes = enumerate_farey(20)
+    spec = frf.homogeneous_spec()
+    want = {s: frf.frf_eval(spec, s) for s in slopes}
+    before = poly_mul_count()
+    results = _race(slopes, homogeneous_farey_polynomial)
+    assert poly_mul_count() - before + len(mirrors) == len(engine.cached_slopes()) - 3
+    assert mirrors
+    for rows in results:
+        assert len(rows) == len(slopes)
+        for s, poly in rows:
             assert poly == want[s], s
 
 

@@ -13,7 +13,8 @@ from fareyslice import (
     parents,
     prefix_conjugacy,
 )
-from fareyslice.errors import FormalVertex, NotNeighbours
+from fareyslice import words
+from fareyslice.errors import FormalVertex, NotNeighbours, RouteMismatch
 
 from golden_data import WORDS
 
@@ -60,6 +61,14 @@ def test_concat_flip_rejections():
         concat_flip(S("1/1"), S("1/2"))  # wrong order
     with pytest.raises(FormalVertex):
         concat_flip(S("0/1"), S("1/0"))
+
+
+def test_concat_flip_raises_when_the_flip_rule_fails(monkeypatch):
+    # A failed flip rule raises the package's RouteMismatch, also under
+    # python -O, where an assert would vanish.
+    monkeypatch.setattr(words, "mediant", lambda a, b: S("1/2"))
+    with pytest.raises(RouteMismatch):
+        concat_flip(S("1/3"), S("1/2"))
 
 
 def test_concat_flip_matches_mediant_up_to_64():
